@@ -13,6 +13,13 @@
 // frame stage at 2 and 4 threads, with the per-stage breakdown from
 // IngestStats. Acceptance: >= 3x on 4 threads vs the seed path.
 //
+// Part 4 — publish cost against catalog size: catalogs of 250, 1,000 and
+// 4,000 OGs (50-OG videos, so the catalog grows by adding videos), then
+// single-OG writes through server::QueryEngine. Per write: the median
+// publish time (clone + insert + publish + teardown of the displaced
+// generation), the clone alone, and the bytes and allocations the publish
+// made. Target: flat — 4,000 OGs within 2x of 250 OGs.
+//
 // Output: human-readable stdout + BENCH_ingest.json.
 
 #include <algorithm>
@@ -31,11 +38,13 @@
 #include "core/pipeline.h"
 #include "segment/mean_shift.h"
 #include "segment/segmenter.h"
+#include "server/query_engine.h"
+#include "synth/generator.h"
 #include "util/thread_pool.h"
 #include "video/renderer.h"
 #include "video/scenes.h"
 
-// ---- global allocation counter (part 2) ---------------------------------
+// ---- global allocation counter (parts 2 and 4) -------------------------
 //
 // Replacing the global operator new/delete lets the bench prove the
 // steady-state claim instead of asserting it in a comment. Counting is
@@ -44,11 +53,13 @@
 namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<uint64_t> g_allocs{0};
+std::atomic<uint64_t> g_alloc_bytes{0};
 }  // namespace
 
 void* operator new(size_t size) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
@@ -101,6 +112,89 @@ EndToEndRow RunPipeline(const std::string& config,
   row.wall_ms = MillisSince(t0);
   row.fps = 1000.0 * static_cast<double>(frames.size()) / row.wall_ms;
   row.stats = pipeline.stats();
+  return row;
+}
+
+// ---- part 4: publish cost against catalog size --------------------------
+
+constexpr size_t kOgsPerVideo = 50;
+constexpr size_t kSweepWrites = 64;
+constexpr size_t kSweepSizes[] = {250, 1000, 4000};
+
+struct PublishRow {
+  size_t ogs = 0;
+  size_t videos = 0;
+  double publish_us_p50 = 0.0;
+  double clone_us_p50 = 0.0;
+  double bytes_p50 = 0.0;   ///< allocated inside one publish
+  double allocs_p50 = 0.0;
+};
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// Builds a `num_ogs` catalog of 50-OG videos on a fresh engine, then
+/// times kSweepWrites single-OG publishes spread over the videos. The OGs
+/// are drawn from `ogs` in a fixed stride order, so every catalog mixes
+/// all 48 synthetic patterns.
+PublishRow MeasurePublish(size_t num_ogs, const std::vector<core::Og>& ogs) {
+  auto og_at = [&](size_t i) -> const core::Og& {
+    return ogs[(i * 1031) % ogs.size()];  // 1031 is coprime to the pool
+  };
+  index::StrgIndexParams ip;
+  ip.num_clusters = 4;
+  ip.cluster_params.max_iterations = 4;
+  server::EngineOptions eo;
+  eo.num_threads = 1;
+  server::QueryEngine engine(ip, eo);
+
+  PublishRow row;
+  row.ogs = num_ogs;
+  row.videos = num_ogs / kOgsPerVideo;
+  std::vector<int> segment_ids(row.videos);
+  for (size_t v = 0; v < row.videos; ++v) {
+    api::SegmentResult segment;
+    segment.frame_width = 100;  // Scaling() == synth::SynthScaling()
+    segment.frame_height = 100;
+    for (size_t k = 0; k < kOgsPerVideo; ++k) {
+      const core::Og& og = og_at(v * kOgsPerVideo + k);
+      segment.decomposition.object_graphs.push_back(og);
+      segment.num_frames = std::max(
+          segment.num_frames, static_cast<size_t>(og.start_frame) +
+                                  og.Length());
+    }
+    engine.AddVideo("video_" + std::to_string(v), segment, &segment_ids[v]);
+  }
+
+  std::vector<double> publish_us, clone_us, bytes, allocs;
+  for (size_t w = 0; w < kSweepWrites; ++w) {
+    const size_t v = (w * 7) % row.videos;
+    {
+      std::shared_ptr<const server::Snapshot> snap = engine.snapshot();
+      auto t0 = Clock::now();
+      api::VideoDatabase clone = snap->db.Clone();
+      clone_us.push_back(1000.0 * MillisSince(t0));
+    }
+    g_allocs.store(0, std::memory_order_relaxed);
+    g_alloc_bytes.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    auto t0 = Clock::now();
+    engine.AddObjectGraph(segment_ids[v], "video_" + std::to_string(v),
+                          og_at(num_ogs + w), synth::SynthScaling());
+    publish_us.push_back(1000.0 * MillisSince(t0));
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    bytes.push_back(
+        static_cast<double>(g_alloc_bytes.load(std::memory_order_relaxed)));
+    allocs.push_back(
+        static_cast<double>(g_allocs.load(std::memory_order_relaxed)));
+  }
+  row.publish_us_p50 = Median(publish_us);
+  row.clone_us_p50 = Median(clone_us);
+  row.bytes_p50 = Median(bytes);
+  row.allocs_p50 = Median(allocs);
   return row;
 }
 
@@ -223,6 +317,31 @@ int main() {
                 static_cast<unsigned long long>(r.stats.decompose_us),
                 static_cast<unsigned long long>(r.stats.queue_full_stalls));
   }
+  // ---- part 4: publish cost against catalog size ------------------------
+  std::vector<PublishRow> sweep;
+  {
+    synth::SynthParams sp;
+    sp.items_per_cluster = 85;  // 48 x 85 = 4,080 OGs >= 4,000 + writes
+    sp.seed = 29;
+    const std::vector<core::Og> pool = synth::GenerateSyntheticOgs(sp).ogs;
+    for (size_t n : kSweepSizes) sweep.push_back(MeasurePublish(n, pool));
+  }
+  std::printf("\npublish cost vs catalog size (median of %zu single-OG "
+              "writes, 50-OG videos)\n",
+              kSweepWrites);
+  std::printf("%8s %7s %12s %10s %14s %10s\n", "ogs", "videos",
+              "publish_us", "clone_us", "bytes/gen", "allocs/gen");
+  for (const PublishRow& r : sweep) {
+    std::printf("%8zu %7zu %12.1f %10.1f %14.0f %10.0f\n", r.ogs, r.videos,
+                r.publish_us_p50, r.clone_us_p50, r.bytes_p50, r.allocs_p50);
+  }
+  const double publish_growth =
+      sweep.back().publish_us_p50 / sweep.front().publish_us_p50;
+  const double bytes_growth = sweep.back().bytes_p50 / sweep.front().bytes_p50;
+  std::printf("%zu vs %zu OGs: publish %.2fx, bytes/gen %.2fx (target <= 2x)\n",
+              sweep.back().ogs, sweep.front().ogs, publish_growth,
+              bytes_growth);
+
   const double single_thread_speedup = rows[1].speedup;
   const double pooled4_speedup = rows.back().speedup;
   std::printf(
@@ -257,7 +376,22 @@ int main() {
     json += "}";
   }
   json += "],\"single_thread_speedup\":" + Num(single_thread_speedup);
-  json += ",\"pooled4_speedup\":" + Num(pooled4_speedup) + "}";
+  json += ",\"pooled4_speedup\":" + Num(pooled4_speedup);
+  json += ",\"publish_sweep\":{\"ogs_per_video\":" +
+          std::to_string(kOgsPerVideo);
+  json += ",\"writes\":" + std::to_string(kSweepWrites) + ",\"rows\":[";
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const PublishRow& r = sweep[i];
+    if (i != 0) json += ",";
+    json += "{\"ogs\":" + std::to_string(r.ogs);
+    json += ",\"videos\":" + std::to_string(r.videos);
+    json += ",\"publish_us_p50\":" + Num(r.publish_us_p50);
+    json += ",\"clone_us_p50\":" + Num(r.clone_us_p50);
+    json += ",\"bytes_per_generation_p50\":" + Num(r.bytes_p50);
+    json += ",\"allocs_per_generation_p50\":" + Num(r.allocs_p50) + "}";
+  }
+  json += "],\"publish_growth\":" + Num(publish_growth);
+  json += ",\"bytes_growth\":" + Num(bytes_growth) + "}}";
 
   std::ofstream out("BENCH_ingest.json");
   out << json << "\n";

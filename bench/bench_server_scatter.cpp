@@ -19,10 +19,10 @@
 //                     admission-cap sojourn bound.
 //
 // Workload: 16 videos hash-spread over the shards; 85% kNN / 5% range /
-// 5% temporal-window / 5% ingest. Ingest is where sharding pays even on
-// one core: a publish clones 1/N of the catalog; temporal queries scan
-// 1/N of the records. The kNN scatter adds intra-query parallelism on
-// multi-core hosts and tau-seeded pruning everywhere; the speedup SLO
+// 5% temporal-window / 5% ingest. On one core sharding pays mainly on
+// temporal queries, which scan 1/N of the records (a publish path-copies
+// one root and cluster either way). The kNN scatter adds intra-query
+// parallelism on multi-core hosts and tau-seeded pruning everywhere; the speedup SLO
 // (>= 2x at >= 4 shards) therefore records hardware_concurrency and is
 // marked not-applicable on single-core machines, where the honest ceiling
 // is the ingest/temporal fraction.

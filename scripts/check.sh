@@ -7,9 +7,9 @@
 # EGED kernel does banded DP over raw row pointers; the mean-shift kernel
 # does integral-image index arithmetic — exactly where UB hides).
 # A dedicated `server` stage runs the server-labeled suites (sharded
-# scatter-gather, async runtime, metrics JSON) under ASan, and — with
-# STRG_CHECK_TSAN=1 — the cancellation/deadline race and tau-pruning tests
-# under TSan. A `simd` stage re-runs the distance|simd suites under ASan and
+# scatter-gather, async runtime, metrics JSON, snapshot sharing) under ASan,
+# and — with STRG_CHECK_TSAN=1 — the cancellation/deadline race,
+# tau-pruning and snapshot-sharing tests under TSan. A `simd` stage re-runs the distance|simd suites under ASan and
 # UBSan with STRG_FORCE_SCALAR=1, covering both dispatch tiers and the env
 # override plumbing. A `cluster` stage runs the cluster|seeding suites under
 # ASan and UBSan (the Elkan/Hamerly bound bookkeeping and its batched
@@ -49,10 +49,15 @@ cmake -B build -S . >/dev/null
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
-echo
-echo "== ASan pass (STRG_SANITIZE=address) =="
+# Configure both sanitizer trees up front: later stages build targets in
+# either tree, so a fresh checkout must have both before the first build.
 cmake -B build-asan -S . -DSTRG_SANITIZE=address \
   -DSTRG_BUILD_BENCHMARKS=OFF -DSTRG_BUILD_EXAMPLES=OFF >/dev/null
+cmake -B build-ubsan -S . -DSTRG_SANITIZE=undefined \
+  -DSTRG_BUILD_BENCHMARKS=OFF -DSTRG_BUILD_EXAMPLES=OFF >/dev/null
+
+echo
+echo "== ASan pass (STRG_SANITIZE=address) =="
 if [[ "${STRG_CHECK_ASAN_ALL:-0}" == "1" ]]; then
   cmake --build build-asan -j
   ctest --test-dir build-asan --output-on-failure -j
@@ -77,9 +82,11 @@ echo "== server stage (ASan): sharded scatter-gather + async runtime =="
 # The serving layer's submit/complete lifecycle hands QueryResult objects
 # across threads (worker -> completion callback -> waiter) and the sharded
 # engine merges per-shard legs under a shared tau bound — exactly where a
-# use-after-free on an abandoned request or gather would hide.
+# use-after-free on an abandoned request or gather would hide. Snapshot
+# generations share index records, so a reader of an old generation racing
+# the writer's path copies (snapshot_sharing_test) is checked here too.
 cmake --build build-asan -j --target sharded_engine_test \
-  server_metrics_json_test
+  server_metrics_json_test snapshot_sharing_test
 ctest --test-dir build-asan -L server --output-on-failure -j
 
 echo
@@ -118,8 +125,6 @@ fi
 
 echo
 echo "== UBSan pass over recovery+distance+ingest-labeled tests (STRG_SANITIZE=undefined) =="
-cmake -B build-ubsan -S . -DSTRG_SANITIZE=undefined \
-  -DSTRG_BUILD_BENCHMARKS=OFF -DSTRG_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-ubsan -j --target wal_recovery_test distance_kernel_test \
   ingest_parallel_test
 ctest --test-dir build-ubsan -L 'recovery|distance|ingest' --output-on-failure -j
@@ -147,8 +152,11 @@ if [[ "${STRG_CHECK_TSAN:-0}" == "1" ]]; then
     -DSTRG_BUILD_BENCHMARKS=OFF -DSTRG_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-tsan -j --target server_concurrency_test \
     thread_pool_test distance_kernel_test ingest_parallel_test paging_test \
-    sharded_engine_test
+    sharded_engine_test snapshot_sharing_test
   ./build-tsan/tests/server_concurrency_test
+  # A reader of a held generation races the writer's root/cluster path
+  # copies (RAM and paged leaves) while asserting bitwise-unchanged answers.
+  ./build-tsan/tests/snapshot_sharing_test
   ./build-tsan/tests/thread_pool_test
   # Server stage under TSan: scatter-gather legs racing cancellation,
   # deadlines, and a live writer — the exactly-once finalize CAS and the

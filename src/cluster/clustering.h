@@ -44,6 +44,8 @@ struct ClusterStats {
     return assign_distances + matrix_distances + drift_distances;
   }
 
+  bool operator==(const ClusterStats&) const = default;
+
   void Merge(const ClusterStats& o) {
     seeding_distances += o.seeding_distances;
     assign_distances += o.assign_distances;

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,12 +29,15 @@ class VideoDatabase {
   explicit VideoDatabase(const storage::Catalog& catalog,
                          index::StrgIndexParams params = {});
 
-  /// Value-copy snapshot hook for the serving layer (`server::QueryEngine`):
+  /// Snapshot hook for the serving layer (`server::QueryEngine`):
   /// copy-on-write generations are built by cloning the current database,
-  /// mutating the clone, and atomically publishing it. The query methods
-  /// below are const and touch no mutable state besides the index's atomic
-  /// distance counter, so any number of threads may query one published
-  /// (immutable) clone concurrently without locks.
+  /// mutating the clone, and atomically publishing it. The clone shares
+  /// every index record and every full record chunk with the original, so
+  /// it costs O(#roots + #OGs / kRecordChunk) pointer copies; the mutators
+  /// then copy only what they change. The query methods below are const and
+  /// touch no mutable state besides the index's atomic distance counter, so
+  /// any number of threads may query one published (immutable) clone
+  /// concurrently without locks.
   VideoDatabase Clone() const { return *this; }
 
   /// Registers a processed video segment under a name: its BG becomes a
@@ -114,7 +118,7 @@ class VideoDatabase {
   }
 
   size_t NumVideos() const { return num_videos_; }
-  size_t NumObjectGraphs() const { return records_.size(); }
+  size_t NumObjectGraphs() const { return num_records_; }
   size_t IndexSizeBytes() const { return index_.SizeBytes(); }
   size_t DistanceComputations() const {
     return index_.TotalDistanceComputations();
@@ -130,10 +134,23 @@ class VideoDatabase {
     size_t length = 0;
   };
 
+  /// Records per chunk. Full chunks are immutable and shared between
+  /// clones; an append copies at most this many records (the tail chunk).
+  static constexpr size_t kRecordChunk = 64;
+  using RecordChunk = std::vector<OgRecord>;
+
+  const OgRecord& Record(size_t og_id) const {
+    return (*record_chunks_[og_id / kRecordChunk])[og_id % kRecordChunk];
+  }
+  /// Appends records for the next OG ids, starting at NumObjectGraphs().
+  void AppendRecords(std::vector<OgRecord> records);
+
   std::vector<QueryHit> Resolve(const index::KnnResult& knn) const;
 
   index::StrgIndex index_;
-  std::vector<OgRecord> records_;
+  /// OG id -> source video and frames, path-copied like the index.
+  std::vector<std::shared_ptr<const RecordChunk>> record_chunks_;
+  size_t num_records_ = 0;
   size_t num_videos_ = 0;
 };
 

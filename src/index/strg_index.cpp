@@ -5,6 +5,7 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <type_traits>
 
 #include "cluster/bic.h"
 #include "cluster/em.h"
@@ -56,6 +57,17 @@ constexpr size_t kKeyBytes = sizeof(double);
 constexpr size_t kPtrBytes = sizeof(void*);
 constexpr size_t kIdBytes = sizeof(int);
 
+/// Path-copy step: replaces the shared record in `slot` with a private copy
+/// and returns it for writing. Index copies that still hold the original
+/// never see the write.
+template <typename Record>
+Record* CopyForWrite(std::shared_ptr<const Record>* slot) {
+  auto copy = std::make_shared<Record>(**slot);
+  Record* raw = copy.get();
+  *slot = std::move(copy);
+  return raw;
+}
+
 }  // namespace
 
 /// Per-query search state. Counters live here (not in the global atomic)
@@ -75,39 +87,21 @@ struct StrgIndex::SearchCtx {
   bool Exhausted() const { return stats.dp_evals >= budget; }
 };
 
+static_assert(std::is_nothrow_move_constructible_v<StrgIndex> &&
+              std::is_nothrow_move_assignable_v<StrgIndex>);
+
 StrgIndex::StrgIndex(StrgIndexParams params)
     : params_(params), metric_(params.metric_gap) {}
 
-StrgIndex::StrgIndex(const StrgIndex& other)
-    : params_(other.params_),
-      metric_(other.metric_),
-      nonmetric_(other.nonmetric_),
-      distance_count_(
-          other.distance_count_.load(std::memory_order_relaxed)),
-      roots_(other.roots_),
-      next_cluster_id_(other.next_cluster_id_) {}
-
-StrgIndex& StrgIndex::operator=(const StrgIndex& other) {
-  if (this == &other) return *this;
-  params_ = other.params_;
-  metric_ = other.metric_;
-  nonmetric_ = other.nonmetric_;
-  distance_count_.store(other.distance_count_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  roots_ = other.roots_;
-  next_cluster_id_ = other.next_cluster_id_;
-  return *this;
-}
-
 double StrgIndex::Metric(const dist::Sequence& a,
                          const dist::Sequence& b) const {
-  distance_count_.fetch_add(1, std::memory_order_relaxed);
+  distance_count_.value.fetch_add(1, std::memory_order_relaxed);
   return metric_(a, b);
 }
 
 double StrgIndex::MetricFlat(const dist::FlatSequence& a,
                              const dist::FlatSequence& b) const {
-  distance_count_.fetch_add(1, std::memory_order_relaxed);
+  distance_count_.value.fetch_add(1, std::memory_order_relaxed);
   return dist::EgedMetricFlat(a, b, &dist::ThreadLocalEgedWorkspace());
 }
 
@@ -118,7 +112,8 @@ double StrgIndex::MetricFlatBounded(const dist::FlatSequence& a,
   double v = dist::EgedMetricBounded(a, b, tau,
                                      &dist::ThreadLocalEgedWorkspace(),
                                      &stats);
-  distance_count_.fetch_add(stats.dp_evals, std::memory_order_relaxed);
+  distance_count_.value.fetch_add(stats.dp_evals,
+                                  std::memory_order_relaxed);
   return v;
 }
 
@@ -193,9 +188,9 @@ int StrgIndex::AddSegment(core::BackgroundGraph bg,
     throw std::invalid_argument("StrgIndex::AddSegment: id count mismatch");
   }
 
-  RootRecord root;
-  root.id = static_cast<int>(roots_.size());
-  root.bg = std::move(bg);
+  auto root = std::make_shared<RootRecord>();
+  root->id = static_cast<int>(roots_.size());
+  root->bg = std::move(bg);
 
   if (!og_sequences.empty()) {
     // Cluster the OGs with EM + non-metric EGED (Section 4). The E-step
@@ -218,11 +213,11 @@ int StrgIndex::AddSegment(core::BackgroundGraph bg,
       model = std::move(sweep.models[sweep.best_k - k_min]);
     }
 
-    root.clusters.resize(model.NumClusters());
+    std::vector<ClusterRecord> clusters(model.NumClusters());
     for (size_t c = 0; c < model.NumClusters(); ++c) {
-      root.clusters[c].id = next_cluster_id_++;
-      root.clusters[c].centroid = model.centroids[c];
-      root.clusters[c].centroid_flat = MakeFlat(root.clusters[c].centroid);
+      clusters[c].id = next_cluster_id_++;
+      clusters[c].centroid = model.centroids[c];
+      clusters[c].centroid_flat = MakeFlat(clusters[c].centroid);
     }
 
     // Place each OG under the centroid nearest in *metric* EGED — the
@@ -242,11 +237,11 @@ int StrgIndex::AddSegment(core::BackgroundGraph bg,
     auto place_one = [&](size_t j) {
       flats[j].Assign(og_sequences[j], params_.metric_gap);
       size_t b = static_cast<size_t>(model.assignment[j]);
-      double bk = MetricFlat(flats[j], root.clusters[b].centroid_flat);
-      for (size_t c = 0; c < root.clusters.size(); ++c) {
+      double bk = MetricFlat(flats[j], clusters[b].centroid_flat);
+      for (size_t c = 0; c < clusters.size(); ++c) {
         if (c == b) continue;
-        double key = MetricFlatBounded(flats[j],
-                                       root.clusters[c].centroid_flat, bk);
+        double key = MetricFlatBounded(flats[j], clusters[c].centroid_flat,
+                                       bk);
         if (key < bk) {
           bk = key;
           b = c;
@@ -267,31 +262,26 @@ int StrgIndex::AddSegment(core::BackgroundGraph bg,
       entry.sequence = std::move(og_sequences[j]);
       entry.flat = std::move(flats[j]);
       OffloadEntry(&entry);
-      root.clusters[best[j]].leaf.push_back(std::move(entry));
+      clusters[best[j]].leaf.push_back(std::move(entry));
     }
     // Drop clusters EM left empty, sort leaves by key (Algorithm 2 line 12).
-    std::erase_if(root.clusters,
-                  [](const ClusterRecord& c) { return c.leaf.empty(); });
-    for (ClusterRecord& cluster : root.clusters) {
+    for (ClusterRecord& cluster : clusters) {
+      if (cluster.leaf.empty()) continue;
       std::sort(cluster.leaf.begin(), cluster.leaf.end(),
                 [](const LeafEntry& a, const LeafEntry& b) {
                   return a.key < b.key;
                 });
       cluster.covering_radius = cluster.leaf.back().key;
+      root->clusters.push_back(
+          std::make_shared<const ClusterRecord>(std::move(cluster)));
     }
   }
 
   roots_.push_back(std::move(root));
-  return roots_.back().id;
+  return roots_.back()->id;
 }
 
-void StrgIndex::InsertIntoCluster(ClusterRecord* cluster, dist::Sequence seq,
-                                  size_t og_id) {
-  LeafEntry entry;
-  entry.flat = MakeFlat(seq);
-  entry.key = MetricFlat(entry.flat, cluster->centroid_flat);
-  entry.og_id = og_id;
-  entry.sequence = std::move(seq);
+void StrgIndex::InsertEntry(ClusterRecord* cluster, LeafEntry entry) {
   OffloadEntry(&entry);
   auto pos = std::lower_bound(cluster->leaf.begin(), cluster->leaf.end(),
                               entry.key,
@@ -307,24 +297,28 @@ void StrgIndex::Insert(int root_id, dist::Sequence og_sequence,
   if (root_id < 0 || static_cast<size_t>(root_id) >= roots_.size()) {
     throw std::out_of_range("StrgIndex::Insert: bad root id");
   }
-  RootRecord& root = roots_[static_cast<size_t>(root_id)];
-  if (root.clusters.empty()) {
+  RootRecord* root = CopyForWrite(&roots_[static_cast<size_t>(root_id)]);
+  LeafEntry entry;
+  entry.og_id = og_id;
+  entry.flat = MakeFlat(og_sequence);
+  if (root->clusters.empty()) {
     // First OG of the segment becomes its own cluster.
-    ClusterRecord cluster;
-    cluster.id = next_cluster_id_++;
-    cluster.centroid = og_sequence;
-    cluster.centroid_flat = MakeFlat(cluster.centroid);
-    root.clusters.push_back(std::move(cluster));
-    InsertIntoCluster(&root.clusters.back(), std::move(og_sequence), og_id);
+    auto cluster = std::make_shared<ClusterRecord>();
+    cluster->id = next_cluster_id_++;
+    cluster->centroid = og_sequence;
+    cluster->centroid_flat = MakeFlat(cluster->centroid);
+    entry.key = MetricFlat(entry.flat, cluster->centroid_flat);
+    entry.sequence = std::move(og_sequence);
+    InsertEntry(cluster.get(), std::move(entry));
+    root->clusters.push_back(std::move(cluster));
     return;
   }
   // Nearest-centroid routing with the running best as tau: identical argmin
   // to the exact scan, but far centroids fall to the lower-bound cascade.
-  dist::FlatSequence flat = MakeFlat(og_sequence);
   size_t best = 0;
-  double best_d = MetricFlat(flat, root.clusters[0].centroid_flat);
-  for (size_t c = 1; c < root.clusters.size(); ++c) {
-    double d = MetricFlatBounded(flat, root.clusters[c].centroid_flat,
+  double best_d = MetricFlat(entry.flat, root->clusters[0]->centroid_flat);
+  for (size_t c = 1; c < root->clusters.size(); ++c) {
+    double d = MetricFlatBounded(entry.flat, root->clusters[c]->centroid_flat,
                                  best_d);
     if (d < best_d) {
       best_d = d;
@@ -332,45 +326,43 @@ void StrgIndex::Insert(int root_id, dist::Sequence og_sequence,
     }
   }
   // Reuse the exact routing distance as the leaf key (it is the key).
-  ClusterRecord* cluster = &root.clusters[best];
-  LeafEntry entry;
   entry.key = best_d;
-  entry.og_id = og_id;
   entry.sequence = std::move(og_sequence);
-  entry.flat = std::move(flat);
-  OffloadEntry(&entry);
-  auto pos = std::lower_bound(cluster->leaf.begin(), cluster->leaf.end(),
-                              entry.key,
-                              [](const LeafEntry& e, double k) {
-                                return e.key < k;
-                              });
-  cluster->covering_radius = std::max(cluster->covering_radius, entry.key);
-  cluster->leaf.insert(pos, std::move(entry));
-  MaybeSplit(&root, best);
+  ClusterRecord* cluster = CopyForWrite(&root->clusters[best]);
+  InsertEntry(cluster, std::move(entry));
+  MaybeSplit(root, best, cluster);
 }
 
 size_t StrgIndex::Remove(size_t og_id) {
+  auto holds_id = [og_id](const LeafEntry& e) { return e.og_id == og_id; };
+  auto cluster_holds_id = [&](const std::shared_ptr<const ClusterRecord>& c) {
+    return std::any_of(c->leaf.begin(), c->leaf.end(), holds_id);
+  };
   size_t removed = 0;
-  for (RootRecord& root : roots_) {
-    for (ClusterRecord& cluster : root.clusters) {
-      size_t before = cluster.leaf.size();
-      std::erase_if(cluster.leaf, [og_id](const LeafEntry& e) {
-        return e.og_id == og_id;
-      });
-      if (cluster.leaf.size() != before) {
-        removed += before - cluster.leaf.size();
-        cluster.covering_radius =
-            cluster.leaf.empty() ? 0.0 : cluster.leaf.back().key;
-      }
+  for (std::shared_ptr<const RootRecord>& slot : roots_) {
+    if (std::none_of(slot->clusters.begin(), slot->clusters.end(),
+                     cluster_holds_id)) {
+      continue;
     }
-    std::erase_if(root.clusters,
-                  [](const ClusterRecord& c) { return c.leaf.empty(); });
+    RootRecord* root = CopyForWrite(&slot);
+    for (std::shared_ptr<const ClusterRecord>& cluster_slot : root->clusters) {
+      if (!cluster_holds_id(cluster_slot)) continue;
+      ClusterRecord* cluster = CopyForWrite(&cluster_slot);
+      removed += std::erase_if(cluster->leaf, holds_id);
+      cluster->covering_radius =
+          cluster->leaf.empty() ? 0.0 : cluster->leaf.back().key;
+    }
+    std::erase_if(root->clusters,
+                  [](const std::shared_ptr<const ClusterRecord>& c) {
+                    return c->leaf.empty();
+                  });
   }
   return removed;
 }
 
-void StrgIndex::MaybeSplit(RootRecord* root, size_t cluster_pos) {
-  ClusterRecord& cluster = root->clusters[cluster_pos];
+void StrgIndex::MaybeSplit(RootRecord* root, size_t cluster_pos,
+                           ClusterRecord* cluster_copy) {
+  ClusterRecord& cluster = *cluster_copy;
   if (cluster.leaf.size() <= params_.leaf_split_threshold) return;
 
   // Move (not copy) the member sequences out for EM; the leaf entries keep
@@ -472,8 +464,9 @@ void StrgIndex::MaybeSplit(RootRecord* root, size_t cluster_pos) {
               });
     side->covering_radius = side->leaf.back().key;
   }
-  root->clusters[cluster_pos] = std::move(a);
-  root->clusters.push_back(std::move(b));
+  root->clusters[cluster_pos] =
+      std::make_shared<const ClusterRecord>(std::move(a));
+  root->clusters.push_back(std::make_shared<const ClusterRecord>(std::move(b)));
 }
 
 void StrgIndex::SearchClusters(const RootRecord& root, SearchCtx* ctx,
@@ -514,7 +507,7 @@ void StrgIndex::SearchClusters(const RootRecord& root, SearchCtx* ctx,
 
   std::vector<Frontier> frontiers(root.clusters.size());
   auto frontier_bound = [&](const Frontier& f, size_t c) {
-    const auto& leaf = root.clusters[c].leaf;
+    const auto& leaf = root.clusters[c]->leaf;
     double lb = kInf;
     if (f.lo > 0) lb = std::min(lb, f.key_q - leaf[f.lo - 1].key);
     if (f.hi < leaf.size()) lb = std::min(lb, leaf[f.hi].key - f.key_q);
@@ -528,7 +521,7 @@ void StrgIndex::SearchClusters(const RootRecord& root, SearchCtx* ctx,
   // contribute. (worst only shrinks as the scan proceeds, so skips stay
   // valid.)
   auto open_cluster = [&](size_t c) {
-    const ClusterRecord& cluster = root.clusters[c];
+    const ClusterRecord& cluster = *root.clusters[c];
     const double w = worst();
     const double tau_c =
         ctx->use_fast && w < kInf ? w + cluster.covering_radius : kInf;
@@ -567,11 +560,11 @@ void StrgIndex::SearchClusters(const RootRecord& root, SearchCtx* ctx,
     std::vector<const dist::FlatSequence*> cents(nc);
     std::vector<double> lbs(nc);
     for (size_t c = 0; c < nc; ++c) {
-      cents[c] = &root.clusters[c].centroid_flat;
+      cents[c] = &root.clusters[c]->centroid_flat;
     }
     dist::EgedLowerBoundBatch(ctx->query_flat, cents.data(), nc, lbs.data());
     for (size_t c = 0; c < nc; ++c) {
-      const double lb = lbs[c] - root.clusters[c].covering_radius;
+      const double lb = lbs[c] - root.clusters[c]->covering_radius;
       queue.push({std::max(lb, 0.0), c});
     }
   } else {
@@ -595,7 +588,7 @@ void StrgIndex::SearchClusters(const RootRecord& root, SearchCtx* ctx,
       if (next != kInf) queue.push({next, c});
       continue;
     }
-    const auto& leaf = root.clusters[c].leaf;
+    const auto& leaf = root.clusters[c]->leaf;
 
     // Evaluate the nearer of the two scan directions, with the current
     // worst-of-k radius as tau: a candidate that cannot make the top k is
@@ -625,7 +618,7 @@ size_t StrgIndex::BestRoot(const core::BackgroundGraph& query_bg) const {
   // stays serial in root order (deterministic, first max wins).
   std::vector<double> sims(roots_.size(), -1.0);
   auto sim_one = [&](size_t r) {
-    sims[r] = BackgroundSimilarity(roots_[r].bg, query_bg,
+    sims[r] = BackgroundSimilarity(roots_[r]->bg, query_bg,
                                    params_.bg_tolerance);
   };
   if (params_.pool != nullptr && roots_.size() >= 8) {
@@ -659,26 +652,25 @@ KnnResult StrgIndex::Knn(const dist::Sequence& query, size_t k,
   ctx.tau0 = initial_tau;
 
   if (query_bg != nullptr) {
-    SearchClusters(roots_[BestRoot(*query_bg)], &ctx, k, &result);
+    SearchClusters(*roots_[BestRoot(*query_bg)], &ctx, k, &result);
   } else {
-    for (const RootRecord& root : roots_) {
-      SearchClusters(root, &ctx, k, &result);
-    }
+    for (const auto& root : roots_) SearchClusters(*root, &ctx, k, &result);
   }
   result.distance_computations = ctx.stats.dp_evals;
   result.lb_prunes = ctx.stats.lb_prunes;
   result.early_abandons = ctx.stats.early_abandons;
-  distance_count_.fetch_add(ctx.stats.dp_evals, std::memory_order_relaxed);
+  distance_count_.value.fetch_add(ctx.stats.dp_evals,
+                                  std::memory_order_relaxed);
   return result;
 }
 
 size_t StrgIndex::SizeBytes() const {
   size_t bytes = 0;
-  for (const RootRecord& root : roots_) {
-    bytes += kIdBytes + kPtrBytes + root.bg.SizeBytes();
-    for (const ClusterRecord& cluster : root.clusters) {
-      bytes += kIdBytes + kPtrBytes + SequenceBytes(cluster.centroid.size());
-      for (const LeafEntry& e : cluster.leaf) {
+  for (const auto& root : roots_) {
+    bytes += kIdBytes + kPtrBytes + root->bg.SizeBytes();
+    for (const auto& cluster : root->clusters) {
+      bytes += kIdBytes + kPtrBytes + SequenceBytes(cluster->centroid.size());
+      for (const LeafEntry& e : cluster->leaf) {
         bytes += kKeyBytes + kPtrBytes + SequenceBytes(EntryLength(e));
       }
     }
@@ -704,7 +696,8 @@ KnnResult StrgIndex::RangeSearch(const dist::Sequence& query, double radius,
   std::vector<double> taus, dists;
 
   auto search_root = [&](const RootRecord& root) {
-    for (const ClusterRecord& cluster : root.clusters) {
+    for (const auto& cluster_ptr : root.clusters) {
+      const ClusterRecord& cluster = *cluster_ptr;
       // No member can be within radius when even the closest possible key
       // band misses: d(q, e) >= key_q - covering_radius. The centroid
       // evaluation is bounded by that same test, so hopeless clusters are
@@ -760,9 +753,9 @@ KnnResult StrgIndex::RangeSearch(const dist::Sequence& query, double radius,
   };
 
   if (query_bg != nullptr) {
-    search_root(roots_[BestRoot(*query_bg)]);
+    search_root(*roots_[BestRoot(*query_bg)]);
   } else {
-    for (const RootRecord& root : roots_) search_root(root);
+    for (const auto& root : roots_) search_root(*root);
   }
   std::sort(result.hits.begin(), result.hits.end(),
             [](const KnnHit& a, const KnnHit& b) {
@@ -771,28 +764,29 @@ KnnResult StrgIndex::RangeSearch(const dist::Sequence& query, double radius,
   result.distance_computations = ctx.stats.dp_evals;
   result.lb_prunes = ctx.stats.lb_prunes;
   result.early_abandons = ctx.stats.early_abandons;
-  distance_count_.fetch_add(ctx.stats.dp_evals, std::memory_order_relaxed);
+  distance_count_.value.fetch_add(ctx.stats.dp_evals,
+                                  std::memory_order_relaxed);
   return result;
 }
 
 size_t StrgIndex::NumClusters() const {
   size_t n = 0;
-  for (const RootRecord& r : roots_) n += r.clusters.size();
+  for (const auto& r : roots_) n += r->clusters.size();
   return n;
 }
 
 size_t StrgIndex::NumIndexedOgs() const {
   size_t n = 0;
-  for (const RootRecord& r : roots_) {
-    for (const ClusterRecord& c : r.clusters) n += c.leaf.size();
+  for (const auto& r : roots_) {
+    for (const auto& c : r->clusters) n += c->leaf.size();
   }
   return n;
 }
 
 std::vector<double> StrgIndex::LeafKeys(int root_id,
                                         size_t cluster_pos) const {
-  const RootRecord& root = roots_.at(static_cast<size_t>(root_id));
-  const ClusterRecord& cluster = root.clusters.at(cluster_pos);
+  const RootRecord& root = *roots_.at(static_cast<size_t>(root_id));
+  const ClusterRecord& cluster = *root.clusters.at(cluster_pos);
   std::vector<double> keys;
   keys.reserve(cluster.leaf.size());
   for (const LeafEntry& e : cluster.leaf) keys.push_back(e.key);
@@ -804,17 +798,17 @@ StrgIndex::Stats StrgIndex::ComputeStats() const {
   stats.segments = roots_.size();
   double radius_acc = 0.0;
   bool first = true;
-  for (const RootRecord& root : roots_) {
-    for (const ClusterRecord& cluster : root.clusters) {
+  for (const auto& root : roots_) {
+    for (const auto& cluster : root->clusters) {
       ++stats.clusters;
-      stats.ogs += cluster.leaf.size();
-      if (first || cluster.leaf.size() < stats.min_leaf) {
-        stats.min_leaf = cluster.leaf.size();
+      stats.ogs += cluster->leaf.size();
+      if (first || cluster->leaf.size() < stats.min_leaf) {
+        stats.min_leaf = cluster->leaf.size();
       }
-      stats.max_leaf = std::max(stats.max_leaf, cluster.leaf.size());
-      radius_acc += cluster.covering_radius;
+      stats.max_leaf = std::max(stats.max_leaf, cluster->leaf.size());
+      radius_acc += cluster->covering_radius;
       stats.max_covering_radius =
-          std::max(stats.max_covering_radius, cluster.covering_radius);
+          std::max(stats.max_covering_radius, cluster->covering_radius);
       first = false;
     }
   }

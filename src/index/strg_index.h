@@ -112,11 +112,15 @@ class StrgIndex {
  public:
   explicit StrgIndex(StrgIndexParams params = {});
 
-  /// Copyable so a serving layer can snapshot the whole index (copy-on-write
-  /// generations). Hand-written because the atomic distance counter deletes
-  /// the defaults; the copy carries the counter value over.
-  StrgIndex(const StrgIndex& other);
-  StrgIndex& operator=(const StrgIndex& other);
+  /// Copyable so a serving layer can snapshot the index (copy-on-write
+  /// generations). Root and cluster records are immutable once published
+  /// and held by shared_ptr, so a copy shares every record and costs one
+  /// pointer per root; the mutators path-copy what they change (see
+  /// roots_). Counters (distance count, clustering stats) carry over.
+  StrgIndex(const StrgIndex&) = default;
+  StrgIndex& operator=(const StrgIndex&) = default;
+  StrgIndex(StrgIndex&&) noexcept = default;
+  StrgIndex& operator=(StrgIndex&&) noexcept = default;
 
   /// Builds one index segment per Algorithm 2: stores the BG in the root
   /// node, clusters the OG sequences, fills cluster + leaf nodes. `og_ids`
@@ -179,10 +183,10 @@ class StrgIndex {
   /// end, so KnnResult::distance_computations is exact even under
   /// concurrent load and this aggregate stays monotone.
   size_t TotalDistanceComputations() const {
-    return distance_count_.load(std::memory_order_relaxed);
+    return distance_count_.value.load(std::memory_order_relaxed);
   }
   void ResetDistanceCount() {
-    distance_count_.store(0, std::memory_order_relaxed);
+    distance_count_.value.store(0, std::memory_order_relaxed);
   }
 
   /// Index footprint per Equation 10: member OGs + centroid OGs + BGs,
@@ -242,7 +246,22 @@ class StrgIndex {
   struct RootRecord {
     int id = 0;
     core::BackgroundGraph bg;
-    std::vector<ClusterRecord> clusters;
+    /// Shared with every index copy that has not rewritten the cluster.
+    std::vector<std::shared_ptr<const ClusterRecord>> clusters;
+  };
+
+  /// Relaxed atomic counter that copies its value, so the index keeps the
+  /// compiler-generated copy and move operations.
+  struct Counter {
+    std::atomic<size_t> value{0};
+    Counter() = default;
+    Counter(const Counter& other) noexcept
+        : value(other.value.load(std::memory_order_relaxed)) {}
+    Counter& operator=(const Counter& other) noexcept {
+      value.store(other.value.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+      return *this;
+    }
   };
 
   /// Per-query search state: the query's flat form, the distance budget,
@@ -287,9 +306,13 @@ class StrgIndex {
                                          : entry.seq_len;
   }
 
-  void InsertIntoCluster(ClusterRecord* cluster, dist::Sequence seq,
-                         size_t og_id);
-  void MaybeSplit(RootRecord* root, size_t cluster_pos);
+  /// Offloads `entry` (paged mode) and inserts it at its key position,
+  /// growing the covering radius. `cluster` must be a private copy.
+  void InsertEntry(ClusterRecord* cluster, LeafEntry entry);
+  /// Section 5.3 split test on `cluster_copy`, the private copy at
+  /// root->clusters[cluster_pos] (a split replaces that slot).
+  void MaybeSplit(RootRecord* root, size_t cluster_pos,
+                  ClusterRecord* cluster_copy);
   void SearchClusters(const RootRecord& root, SearchCtx* ctx, size_t k,
                       KnnResult* result) const;
   size_t BestRoot(const core::BackgroundGraph& query_bg) const;
@@ -297,14 +320,21 @@ class StrgIndex {
   StrgIndexParams params_;
   dist::EgedMetricDistance metric_;
   dist::EgedDistance nonmetric_;
-  mutable std::atomic<size_t> distance_count_{0};
+  mutable Counter distance_count_;
   /// Clustering cost counters, fed to every EmCluster call the index makes.
   /// Plain (non-atomic) because all writers — AddSegment and the
   /// Insert-driven MaybeSplit — run under the serving layer's single-writer
   /// protocol, and EmCluster itself merges restart-local counters serially
   /// before touching the sink.
   cluster::ClusterStats cluster_stats_;
-  std::vector<RootRecord> roots_;
+  /// The tree, shared structurally between index copies (snapshot
+  /// generations). A published record is never written again: AddSegment
+  /// appends a freshly built root, Insert copies the target root and then
+  /// the target cluster before writing them, and Remove copies only the
+  /// roots and clusters that hold the id. A write therefore allocates one
+  /// root→cluster path, and older copies keep reading the records they
+  /// started with.
+  std::vector<std::shared_ptr<const RootRecord>> roots_;
   int next_cluster_id_ = 0;
 };
 

@@ -15,10 +15,7 @@ double MicrosSince(Clock::time_point start) {
 }
 
 std::shared_ptr<const Snapshot> GenesisSnapshot(index::StrgIndexParams params) {
-  auto genesis = std::make_shared<Snapshot>();
-  genesis->generation = 0;
-  genesis->db = api::VideoDatabase(params);
-  return genesis;
+  return std::make_shared<const Snapshot>(0, api::VideoDatabase(params));
 }
 
 }  // namespace
@@ -115,9 +112,9 @@ uint64_t QueryEngine::Publish(MutateFn&& mutate) {
   const auto start = Clock::now();
   MutexLock lock(writer_mu_);
   std::shared_ptr<const Snapshot> cur = head_.load();
-  auto next = std::make_shared<Snapshot>();
-  next->generation = cur->generation + 1;
-  next->db = cur->db.Clone();
+  // The clone shares every record with `cur`; mutate path-copies the
+  // root -> cluster path it writes, so `cur` stays intact for its readers.
+  auto next = std::make_shared<Snapshot>(cur->generation + 1, cur->db.Clone());
   mutate(&next->db);
   head_.store(std::shared_ptr<const Snapshot>(std::move(next)));
   metrics_.ingests.fetch_add(1, std::memory_order_relaxed);
@@ -147,10 +144,7 @@ void QueryEngine::RestoreGeneration(uint64_t generation) {
   MutexLock lock(writer_mu_);
   std::shared_ptr<const Snapshot> cur = head_.load();
   if (generation <= cur->generation) return;
-  auto next = std::make_shared<Snapshot>();
-  next->generation = generation;
-  next->db = cur->db.Clone();
-  head_.store(std::shared_ptr<const Snapshot>(std::move(next)));
+  head_.store(std::make_shared<const Snapshot>(generation, cur->db.Clone()));
 }
 
 LatencyHistogram* QueryEngine::HistogramFor(api::QuerySpec::Kind kind) {

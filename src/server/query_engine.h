@@ -149,6 +149,8 @@ class QueryHandle {
 /// One immutable published index generation. Readers hold it via
 /// shared_ptr, so a generation stays alive until the last in-flight query
 /// over it finishes, no matter how many newer generations exist.
+/// Consecutive generations share every index record and record chunk that
+/// no write in between touched (see index::StrgIndex).
 struct Snapshot {
   uint64_t generation = 0;
   api::VideoDatabase db;
@@ -171,8 +173,9 @@ class SnapshotHolder {
   }
   void store(std::shared_ptr<const Snapshot> next) STRG_EXCLUDES(mu_) {
     // Swap under the lock, destroy outside it: dropping the last reference
-    // to a displaced generation tears down whole index trees, and kSnapshot
-    // is a leaf rank — teardown must not run while it is held.
+    // to a displaced generation releases one pointer per root and frees the
+    // records no newer generation shares, and kSnapshot is a leaf rank —
+    // teardown must not run while it is held.
     std::shared_ptr<const Snapshot> displaced;
     {
       MutexLock lock(mu_);
@@ -192,11 +195,14 @@ class SnapshotHolder {
 ///  - Writers (AddVideo / AddObjectGraph) serialize on a mutex, clone the
 ///    current generation, mutate the clone, and atomically publish it.
 ///    A writer never touches a published Snapshot.
+///  - The clone shares structure: it copies one pointer per index root
+///    (plus one per 64 OG records), and the write path-copies only the
+///    root and cluster it changes. A publish therefore costs O(#roots +
+///    touched cluster), not O(database).
 ///  - Readers grab the current Snapshot (a constant-time epoch-pointer
 ///    copy) and run the whole query against that immutable generation: no
 ///    lock is held during query execution, so there are no torn reads and
-///    no half-inserted trees — at the cost of ingest copying the database
-///    (fine for this workload; the sharded engine bounds the copy to 1/N).
+///    no half-inserted trees.
 ///
 /// Request path — submit/complete over the async runtime:
 ///   Submit runs the result-cache fast path on the calling thread (a cache

@@ -39,9 +39,9 @@ struct ShardedEngineOptions {
 ///
 /// Partitioning: videos hash by name onto N shards (ShardFor), each shard
 /// a full QueryEngine with its own copy-on-write snapshot chain. Ingest
-/// routes each write to its video's shard, so a publish clones 1/N of the
-/// catalog instead of all of it, and a temporal (kActive) query scans 1/N
-/// of the records.
+/// routes each write to its video's shard, where the publish path-copies
+/// the touched root and cluster (as in the unsharded engine), and a
+/// temporal (kActive) query scans 1/N of the records.
 ///
 /// Query path: Submit checks the top-level result cache, takes one global
 /// admission token, then fans the request out as per-shard leg tasks on
