@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 (configure + build + full ctest) plus the complete
-# static-analysis gate (lint -> thread-safety build -> clang-tidy -> lock
-# graph), each run as a separately timed stage. Writes a machine-readable
-# per-stage report — name, status (pass|fail), exit code, wall-clock
-# seconds — so a CI frontend can chart where the time goes and which gate
-# broke without parsing logs.
+# CI entry point: tier-1 (configure + build + full ctest), the end-to-end
+# benchmark's smoke run (every workload's oracles, ~3 s each after its
+# build), plus the complete static-analysis gate (lint -> thread-safety
+# build -> clang-tidy -> lock graph), each run as a separately timed stage.
+# Writes a machine-readable per-stage report — name, status (pass|fail),
+# exit code, wall-clock seconds — so a CI frontend can chart where the time
+# goes and which gate broke without parsing logs.
 #
 #   scripts/ci.sh                         # all stages, report to
 #                                         # build/ci_report.json
@@ -46,6 +47,12 @@ run_stage() {
 run_stage configure cmake -B build -S .
 run_stage build cmake --build build -j
 run_stage test ctest --test-dir build --output-on-failure -j
+
+# All four end-to-end workloads on their small catalogs: bench/e2e/run.sh
+# builds its own Release tree and exits nonzero if any oracle fails (among
+# them paged_cold's brute-force kNN/range check and its store >= 10x cache
+# check).
+run_stage e2e_smoke bash bench/e2e/run.sh --smoke
 
 # The four static legs individually (see scripts/static.sh for what each
 # proves); STRG_REQUIRE_CLANG passes through so CI can insist the

@@ -42,29 +42,34 @@ TlsFlatScratch& ThreadLocalFlats() {
 }  // namespace
 
 void FlatSequence::Assign(const Sequence& seq, const FeatureVec& g) {
-  size_ = seq.size();
-  values_.resize(kStride * size_);
-  transposed_.resize(kFeatureDim * size_);
-  gap_costs_.resize(size_);
-  for (size_t i = 0; i < size_; ++i) {
+  const size_t n = seq.size();
+  values_.resize(kStride * n);
+  transposed_.resize(kFeatureDim * n);
+  gap_costs_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
     double* p = values_.data() + i * kStride;
     for (size_t k = 0; k < kFeatureDim; ++k) {
       p[k] = seq[i][k];
-      transposed_[k * size_ + i] = seq[i][k];
+      transposed_[k * n + i] = seq[i][k];
     }
     for (size_t k = kFeatureDim; k < kStride; ++k) p[k] = 0.0;
   }
   // Per-point gap costs through the dispatched batch kernel: the per-lane
   // dim order matches PointDistance, and (q - p)^2 == (p - q)^2 exactly, so
   // the values are bit-identical to the former scalar loop at every tier.
-  simd::ActiveOps().point_distance_batch(g.data(), values_.data(), size_,
+  simd::ActiveOps().point_distance_batch(g.data(), values_.data(), n,
                                          gap_costs_.data());
+  summary_ = LbSummary{};
+  summary_.length = n;
   // Left-to-right accumulation, matching the DP's first row exactly, so
   // gap_mass() is bit-identical to EgedMetric(seq, {}).
-  gap_mass_ = 0.0;
-  for (size_t i = 0; i < size_; ++i) gap_mass_ += gap_costs_[i];
-  front_ = size_ > 0 ? seq.front() : FeatureVec{};
-  back_ = size_ > 0 ? seq.back() : FeatureVec{};
+  for (size_t i = 0; i < n; ++i) summary_.gap_mass += gap_costs_[i];
+  if (n > 0) {
+    summary_.gap_front = gap_costs_[0];
+    summary_.gap_back = gap_costs_[n - 1];
+    summary_.front = seq.front();
+    summary_.back = seq.back();
+  }
 }
 
 void ReversedQuery::Assign(const FlatSequence& a) {
@@ -87,28 +92,40 @@ EgedWorkspace& ThreadLocalEgedWorkspace() {
   return ws;
 }
 
-double EgedLowerBound(const FlatSequence& a, const FlatSequence& b) {
+double EgedLowerBound(const LbSummary& a, const LbSummary& b) {
   // Gap-mass bound: EGED_M is a metric (Theorem 2) and EGED_M(x, {}) is the
   // gap mass, so |gap_mass(a) - gap_mass(b)| <= EGED_M(a, b) by the
   // triangle inequality through the empty sequence.
-  double lb = std::fabs(a.gap_mass() - b.gap_mass());
-  if (!a.empty() && !b.empty()) {
+  double lb = std::fabs(a.gap_mass - b.gap_mass);
+  if (a.length != 0 && b.length != 0) {
     // Endpoint bound: the first edit op of any alignment consumes a_1 or
     // b_1 (or both), costing at least min(d(a1,b1), d(a1,g), d(b1,g)); when
     // max(m, n) >= 2 the alignment has at least two ops and its distinct
     // last op likewise pays for a_m or b_n.
-    const double first = Min3(PointDistance(a.front(), b.front()),
-                              a.gap_cost(0), b.gap_cost(0));
+    const double first =
+        Min3(PointDistance(a.front, b.front), a.gap_front, b.gap_front);
     double endpoint = first;
-    if (a.size() >= 2 || b.size() >= 2) {
+    if (a.length >= 2 || b.length >= 2) {
       const double last =
-          Min3(PointDistance(a.back(), b.back()),
-               a.gap_cost(a.size() - 1), b.gap_cost(b.size() - 1));
+          Min3(PointDistance(a.back, b.back), a.gap_back, b.gap_back);
       endpoint = first + last;
     }
     lb = std::max(lb, endpoint);
   }
   return Shave(lb);
+}
+
+bool EgedCascadePrunes(const LbSummary& a, const LbSummary& b, double tau,
+                       double* lb, EgedKernelStats* stats) {
+  if (!(tau < std::numeric_limits<double>::infinity()) || a.length == 0 ||
+      b.length == 0) {
+    return false;
+  }
+  const double bound = EgedLowerBound(a, b);
+  if (!(bound > tau)) return false;
+  if (stats != nullptr) ++stats->lb_prunes;
+  *lb = bound;
+  return true;
 }
 
 namespace {
@@ -537,13 +554,8 @@ double EgedMetricBounded(const FlatSequence& a, const FlatSequence& b,
     if (stats != nullptr) ++stats->dp_evals;
     return a.empty() ? b.gap_mass() : a.gap_mass();
   }
-  if (tau < std::numeric_limits<double>::infinity()) {
-    const double lb = EgedLowerBound(a, b);
-    if (lb > tau) {
-      if (stats != nullptr) ++stats->lb_prunes;
-      return lb;
-    }
-  }
+  double lb = 0.0;
+  if (EgedCascadePrunes(a.summary(), b.summary(), tau, &lb, stats)) return lb;
   if (stats != nullptr) ++stats->dp_evals;
   bool abandoned = false;
   const double v =
@@ -561,7 +573,6 @@ void EgedBatchBounded(const FlatSequence& query,
   // stats match the one-at-a-time path bitwise. The reversed-query mirror
   // the wavefront route needs is likewise built once for the whole batch.
   const simd::KernelOps& ops = simd::ActiveOps();
-  constexpr double kInfinity = std::numeric_limits<double>::infinity();
   const ReversedQuery* rev = nullptr;
   if (ops.tier != simd::Tier::kScalar && !query.empty()) {
     ws->ReversedScratch().Assign(query);
@@ -575,13 +586,9 @@ void EgedBatchBounded(const FlatSequence& query,
       out[i] = query.empty() ? b.gap_mass() : query.gap_mass();
       continue;
     }
-    if (tau < kInfinity) {
-      const double lb = EgedLowerBound(query, b);
-      if (lb > tau) {
-        if (stats != nullptr) ++stats->lb_prunes;
-        out[i] = lb;
-        continue;
-      }
+    if (EgedCascadePrunes(query.summary(), b.summary(), tau, &out[i],
+                          stats)) {
+      continue;
     }
     if (stats != nullptr) ++stats->dp_evals;
     bool abandoned = false;
@@ -593,30 +600,8 @@ void EgedBatchBounded(const FlatSequence& query,
 void EgedLowerBoundBatch(const FlatSequence& query,
                          const FlatSequence* const* candidates, size_t n,
                          double* out) {
-  // Query-side terms hoisted; per candidate the operations replicate
-  // EgedLowerBound in the same order, so out[i] matches it bitwise.
-  const double q_mass = query.gap_mass();
-  const bool q_empty = query.empty();
-  const FeatureVec& q_front = query.front();
-  const FeatureVec& q_back = query.back();
-  const double q_gap_first = q_empty ? 0.0 : query.gap_cost(0);
-  const double q_gap_last = q_empty ? 0.0 : query.gap_cost(query.size() - 1);
-  const bool q_long = query.size() >= 2;
   for (size_t i = 0; i < n; ++i) {
-    const FlatSequence& b = *candidates[i];
-    double lb = std::fabs(q_mass - b.gap_mass());
-    if (!q_empty && !b.empty()) {
-      const double first =
-          Min3(PointDistance(q_front, b.front()), q_gap_first, b.gap_cost(0));
-      double endpoint = first;
-      if (q_long || b.size() >= 2) {
-        const double last = Min3(PointDistance(q_back, b.back()), q_gap_last,
-                                 b.gap_cost(b.size() - 1));
-        endpoint = first + last;
-      }
-      lb = std::max(lb, endpoint);
-    }
-    out[i] = Shave(lb);
+    out[i] = EgedLowerBound(query.summary(), candidates[i]->summary());
   }
 }
 

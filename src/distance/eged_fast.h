@@ -10,6 +10,23 @@
 
 namespace strg::dist {
 
+/// What the O(m+n) lower-bound cascade reads of one sequence prepared
+/// against a gap point g: its length, its gap mass EGED_M(x, {}), and both
+/// endpoint vectors with their gap costs d(x_1, g), d(x_m, g). 128 bytes,
+/// small enough for a paged index entry to keep resident without its
+/// points, so a candidate the cascade prunes is never read from storage.
+struct LbSummary {
+  uint64_t length = 0;
+  /// EGED_M(x, {}) — the cost of deleting the whole sequence against g,
+  /// accumulated left-to-right exactly like the DP's first row/column.
+  double gap_mass = 0.0;
+  double gap_front = 0.0;  ///< d(x_1, g); 0 when empty
+  double gap_back = 0.0;   ///< d(x_m, g); 0 when empty
+  FeatureVec front{};
+  FeatureVec back{};
+};
+static_assert(sizeof(LbSummary) == 128, "LbSummary is documented as 128 B");
+
 /// Flat structure-of-arrays form of a Sequence, prepared once against a
 /// fixed gap point `g` so the metric EGED DP (Theorem 2 / ERP) pays one
 /// PointDistance per cell and zero allocations per call.
@@ -19,11 +36,10 @@ namespace strg::dist {
 /// vector tier loads whole points without masking; `transposed()` is a
 /// dim-major mirror (kFeatureDim rows of size() columns) that gives the DP
 /// row kernels contiguous loads across consecutive columns. Alongside the
-/// coordinates the flat form precomputes what the O(m+n) lower-bound
-/// cascade needs: per-point gap costs d(x_i, g) (computed through the
-/// dispatched point_distance_batch kernel — bit-identical at every tier),
-/// their running total (the "gap mass" EGED_M(x, {})), and the endpoint
-/// vectors.
+/// coordinates the flat form precomputes per-point gap costs d(x_i, g)
+/// (computed through the dispatched point_distance_batch kernel —
+/// bit-identical at every tier) and the LbSummary the lower-bound cascade
+/// reads.
 class FlatSequence {
  public:
   /// Point-major stride in doubles (pads are zero-filled).
@@ -36,31 +52,27 @@ class FlatSequence {
   /// flattening path of EgedMetricDistance runs on thread-local instances).
   void Assign(const Sequence& seq, const FeatureVec& g);
 
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  size_t size() const { return static_cast<size_t>(summary_.length); }
+  bool empty() const { return summary_.length == 0; }
 
   const double* points() const { return values_.data(); }
   const double* point(size_t i) const { return values_.data() + i * kStride; }
   /// Dim-major mirror: row k holds coordinate k of every point, so
   /// transposed()[k * t_stride() + j] == point(j)[k].
   const double* transposed() const { return transposed_.data(); }
-  size_t t_stride() const { return size_; }
+  size_t t_stride() const { return size(); }
   const double* gap_costs() const { return gap_costs_.data(); }
   double gap_cost(size_t i) const { return gap_costs_[i]; }
-  /// EGED_M(x, {}) — the cost of deleting the whole sequence against g,
-  /// accumulated left-to-right exactly like the DP's first row/column.
-  double gap_mass() const { return gap_mass_; }
-  const FeatureVec& front() const { return front_; }
-  const FeatureVec& back() const { return back_; }
+  double gap_mass() const { return summary_.gap_mass; }
+  const FeatureVec& front() const { return summary_.front; }
+  const FeatureVec& back() const { return summary_.back; }
+  const LbSummary& summary() const { return summary_; }
 
  private:
-  size_t size_ = 0;
-  std::vector<double> values_;      ///< kStride * size_, point-major, padded
-  std::vector<double> transposed_;  ///< kFeatureDim * size_, dim-major
+  LbSummary summary_;
+  std::vector<double> values_;      ///< kStride * size(), point-major, padded
+  std::vector<double> transposed_;  ///< kFeatureDim * size(), dim-major
   std::vector<double> gap_costs_;   ///< d(x_i, g) per point
-  double gap_mass_ = 0.0;
-  FeatureVec front_{};
-  FeatureVec back_{};
 };
 
 /// Reversed dim-major mirror of a query sequence, built once per query (or
@@ -133,16 +145,32 @@ struct EgedKernelStats {
   uint64_t early_abandons = 0;
 };
 
-/// O(m+n) lower bound on EgedMetric(a, b) for flat forms built against the
-/// same gap point. Max of
+/// O(m+n) lower bound on EgedMetric(a, b) for sequences summarized against
+/// the same gap point. Max of
 ///  - the gap-mass bound |EGED_M(a, {}) - EGED_M(b, {})| (triangle
 ///    inequality of the metric against the empty sequence), and
 ///  - the endpoint bound: any alignment's first edit op consumes a_1 or b_1
 ///    (cost >= min(d(a1, b1), d(a1, g), d(b1, g))) and, when max(m, n) >= 2,
 ///    its distinct last op likewise pays for a_m or b_n.
 /// Shaved by a ~1e-12 relative margin so floating-point rounding can never
-/// push the bound above the exact DP value.
-double EgedLowerBound(const FlatSequence& a, const FlatSequence& b);
+/// push the bound above the exact DP value. Every cascade in the tree —
+/// single, batched, and the paged index's pre-fetch filter — computes the
+/// bound here.
+double EgedLowerBound(const LbSummary& a, const LbSummary& b);
+inline double EgedLowerBound(const FlatSequence& a, const FlatSequence& b) {
+  return EgedLowerBound(a.summary(), b.summary());
+}
+
+/// The cascade step that opens EgedMetricBounded, on summaries alone. When
+/// tau is finite and both sequences are non-empty it computes
+/// EgedLowerBound(a, b); if that exceeds tau it stores the bound in `*lb`,
+/// counts an lb_prune in `stats` (optional) and returns true — exactly the
+/// value and accounting the bounded kernel would produce. false means the
+/// kernel would go on to its DP (or its empty-operand answer), and nothing
+/// is counted. A caller that holds only a candidate's summary runs this
+/// first and reads the candidate's points only when it returns false.
+bool EgedCascadePrunes(const LbSummary& a, const LbSummary& b, double tau,
+                       double* lb, EgedKernelStats* stats = nullptr);
 
 /// Exact metric EGED over flat forms: numerically identical (same
 /// operations in the same order) to EgedMetric on the originating
@@ -175,9 +203,8 @@ void EgedBatchBounded(const FlatSequence& query,
                       const double* taus, size_t n, double* out,
                       EgedWorkspace* ws, EgedKernelStats* stats = nullptr);
 
-/// Batched lower-bound cascade: out[i] is bitwise identical to
-/// EgedLowerBound(query, *candidates[i]), with the query-side terms hoisted
-/// out of the loop (the k-NN cluster-queue seeding path).
+/// Batched lower-bound cascade: out[i] == EgedLowerBound(query,
+/// *candidates[i]) (the k-NN cluster-queue seeding path).
 void EgedLowerBoundBatch(const FlatSequence& query,
                          const FlatSequence* const* candidates, size_t n,
                          double* out);

@@ -125,6 +125,8 @@ void StrgIndex::OffloadEntry(LeafEntry* entry) {
                       ->Append(storage::kRecIndexNode, w.bytes())
                       .value();  // throws std::runtime_error on store failure
   entry->seq_len = static_cast<uint32_t>(entry->sequence.size());
+  entry->summary =
+      std::make_shared<const dist::LbSummary>(entry->flat.summary());
   entry->sequence = dist::Sequence();
   entry->flat = dist::FlatSequence();
 }
@@ -141,15 +143,22 @@ dist::Sequence StrgIndex::FetchSequence(const LeafEntry& entry) const {
 double StrgIndex::SearchMetricLeaf(SearchCtx* ctx, const LeafEntry& entry,
                                    double tau) const {
   if (entry.record != kNoLeafRecord) {
-    // Paged: fetch + decode + re-flatten on demand. Deterministic decode
-    // (fixed-width doubles), so the distance is bit-identical to the
-    // in-RAM entry's.
-    dist::Sequence seq = FetchSequence(entry);
     if (!ctx->use_fast) {
       ++ctx->stats.dp_evals;
-      return dist::EgedMetric(*ctx->query_seq, seq, params_.metric_gap);
+      return dist::EgedMetric(*ctx->query_seq, FetchSequence(entry),
+                              params_.metric_gap);
     }
-    dist::FlatSequence flat(seq, params_.metric_gap);
+    // Paged: the resident summary answers the kernel's lower-bound cascade,
+    // so a pruned candidate costs no page read. Survivors are fetched,
+    // decoded and re-flattened; the decode is deterministic (fixed-width
+    // doubles), so the distance and the counters are bit-identical to the
+    // in-RAM entry's.
+    double lb = 0.0;
+    if (dist::EgedCascadePrunes(ctx->query_flat.summary(), *entry.summary,
+                                tau, &lb, &ctx->stats)) {
+      return lb;
+    }
+    dist::FlatSequence flat(FetchSequence(entry), params_.metric_gap);
     return dist::EgedMetricBounded(ctx->query_flat, flat, tau,
                                    &dist::ThreadLocalEgedWorkspace(),
                                    &ctx->stats);
@@ -448,9 +457,11 @@ void StrgIndex::MaybeSplit(RootRecord* root, size_t cluster_pos,
     entry.key = keys[j];
     entry.og_id = cluster.leaf[j].og_id;
     if (paged) {
-      // The record travels; the fetched sequence copy is dropped.
+      // The record and its summary travel; the fetched sequence copy is
+      // dropped.
       entry.record = cluster.leaf[j].record;
       entry.seq_len = cluster.leaf[j].seq_len;
+      entry.summary = std::move(cluster.leaf[j].summary);
     } else {
       entry.sequence = std::move(members[j]);
       entry.flat = std::move(cluster.leaf[j].flat);
@@ -720,12 +731,21 @@ KnnResult StrgIndex::RangeSearch(const dist::Sequence& query, double radius,
       }
       // Fast path: the whole key band goes through the batched bounded
       // kernel in one call (uniform tau = radius), identical per-candidate
-      // arithmetic and stats to the former entry-at-a-time loop. Paged
-      // entries are fetched and re-flattened up front; the reserve keeps
-      // their flats stable while candidate pointers accumulate.
+      // arithmetic and stats to the former entry-at-a-time loop. A paged
+      // member first meets the kernel's cascade on its resident summary:
+      // one it prunes (counted there, exactly as the kernel would) is no
+      // hit and is never fetched. The rest are fetched and re-flattened up
+      // front; the reserve keeps their flats stable while candidate
+      // pointers accumulate.
       band.clear();
       for (auto it = lo; it != leaf.end() && it->key <= key_q + radius;
            ++it) {
+        double lb = 0.0;
+        if (it->record != kNoLeafRecord &&
+            dist::EgedCascadePrunes(ctx.query_flat.summary(), *it->summary,
+                                    radius, &lb, &ctx.stats)) {
+          continue;
+        }
         band.push_back(&*it);
       }
       cands.clear();

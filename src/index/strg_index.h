@@ -61,17 +61,22 @@ struct StrgIndexParams {
 
   /// Out-of-core leaf backing (not owned; nullptr = everything in RAM, the
   /// pre-pager behavior). When set, each leaf entry's OG sequence is
-  /// serialized into this store at insert and only its record id + length
-  /// stay resident; queries fetch, decode, and re-flatten candidates on
-  /// demand through the store's buffer cache. The decode is deterministic
-  /// (fixed-width doubles), so hits and distances are bit-identical to the
-  /// in-RAM mode — only residency changes. Centroids, keys, and covering
-  /// radii always stay in RAM (they are what makes pruning cheap). Copies
-  /// of the index (COW snapshot generations) share the store; Remove drops
-  /// leaf entries without reclaiming their records, since older generations
-  /// may still reference them (space returns when the store is rebuilt at
-  /// the next engine open). Store errors on the query path surface as
-  /// std::runtime_error, matching the index's existing throwing contract.
+  /// serialized into this store at insert; what stays resident per entry is
+  /// its key, id, record id, length, and the 128-byte dist::LbSummary the
+  /// lower-bound cascade reads. Once a query has a finite pruning radius
+  /// it runs the cascade on that summary first and fetches, decodes and
+  /// re-flattens (through the store's buffer cache) only the candidates it
+  /// cannot prune — the ones that reach the DP. The decode is
+  /// deterministic (fixed-width doubles), so hits, distances and every
+  /// KnnResult counter are bit-identical to the in-RAM mode — only
+  /// residency and page reads change. Centroids, keys, and covering radii
+  /// always stay in RAM (they are what makes pruning cheap).
+  /// Copies of the index (COW snapshot generations) share the store; Remove
+  /// drops leaf entries without reclaiming their records, since older
+  /// generations may still reference them (space returns when the store is
+  /// rebuilt at the next engine open). Store errors on the query path
+  /// surface as std::runtime_error, matching the index's existing throwing
+  /// contract.
   storage::PagedRecordStore* paged_store = nullptr;
 };
 
@@ -235,6 +240,11 @@ class StrgIndex {
     /// split bookkeeping need no fetch). sequence/flat above stay empty.
     uint64_t record = kNoLeafRecord;
     uint32_t seq_len = 0;
+    /// Paged mode: flat.summary() captured before the flat form is dropped,
+    /// so the query path's lower-bound cascade needs no fetch. Immutable and
+    /// shared by every index copy holding the entry. Null in RAM mode, where
+    /// flat.summary() already holds it.
+    std::shared_ptr<const dist::LbSummary> summary;
   };
   struct ClusterRecord {
     int id = 0;
@@ -295,10 +305,10 @@ class StrgIndex {
                               double tau) const;
 
   /// Paged-mode helpers (no-ops / trivial when paged_store is unset).
-  /// Offload serializes the entry's sequence into the store and drops the
-  /// resident copies; Fetch reads it back (throwing std::runtime_error on a
-  /// store failure, per the class contract). EntryLength works in both
-  /// modes.
+  /// Offload serializes the entry's sequence into the store, keeps its
+  /// LbSummary, and drops the resident copies; Fetch reads it back
+  /// (throwing std::runtime_error on a store failure, per the class
+  /// contract). EntryLength works in both modes.
   void OffloadEntry(LeafEntry* entry);
   dist::Sequence FetchSequence(const LeafEntry& entry) const;
   size_t EntryLength(const LeafEntry& entry) const {

@@ -8,27 +8,50 @@ namespace {
 
 constexpr uint32_t kCrc32cPoly = 0x82F63B78u;  // reflected Castagnoli
 
-constexpr std::array<uint32_t, 256> MakeCrc32cTable() {
-  std::array<uint32_t, 256> table{};
+using Crc32cTables = std::array<std::array<uint32_t, 256>, 8>;
+
+/// Slice-by-8 tables: tables[0][b] is the CRC of byte b alone, and
+/// tables[k][b] is tables[k - 1][b] advanced through one more zero byte, so
+/// tables[k] carries a byte k positions ahead of the end of an 8-byte word.
+constexpr Crc32cTables MakeCrc32cTables() {
+  Crc32cTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? kCrc32cPoly : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<uint32_t, 256> kCrc32cTable = MakeCrc32cTable();
+constexpr Crc32cTables kCrc32cTables = MakeCrc32cTables();
 
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
+  const auto& t = kCrc32cTables;
+  const char* p = static_cast<const char*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < len; ++i) {
-    crc = kCrc32cTable[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  // Eight bytes per step: the running CRC folds into the first
+  // little-endian word (assembled from bytes, so alignment and host byte
+  // order do not matter), and each of the eight bytes indexes the table
+  // for its distance from the end of the word.
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = crc ^ GetLe32(p);
+    const uint32_t hi = GetLe32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+          t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][hi & 0xFF] ^
+          t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = t[0][(crc ^ static_cast<unsigned char>(*p)) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
 }

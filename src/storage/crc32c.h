@@ -7,8 +7,9 @@
 namespace strg::storage {
 
 /// CRC32C (Castagnoli polynomial, the one with hardware support on modern
-/// CPUs and strong burst-error detection for storage framing). Software
-/// table implementation; `seed` chains partial computations. Shared by the
+/// CPUs and strong burst-error detection for storage framing). Portable
+/// slice-by-8 software tables (eight bytes per step, no intrinsics);
+/// `seed` chains partial computations. Shared by the
 /// WAL record framing and the pager's per-page checksums — one checksum
 /// vocabulary for every torn-write detector in the tree.
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed = 0);

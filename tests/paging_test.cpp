@@ -4,10 +4,12 @@
 // buffer cache (LRU, pins, copy-on-write, write-back, overload), the paged
 // record layer (inline + overflow-chained records, delete, reopen, stats),
 // and the acceptance contract that a paged index answers queries
-// bit-identically to the in-RAM index at every cache size.
+// bit-identically to the in-RAM index at every cache size, reading only the
+// candidates its resident lower bounds cannot prune.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -22,6 +24,7 @@
 #include "storage/pager/page_file.h"
 #include "storage/pager/paged_record_store.h"
 #include "storage/pager/storage_params.h"
+#include "synth/generator.h"
 #include "util/random.h"
 #include "video/scenes.h"
 
@@ -570,6 +573,80 @@ TEST(PagedIndex, TinyCacheStaysWithinResidentBudget) {
   const core::Og& probe = segment.decomposition.object_graphs[0];
   EXPECT_FALSE(db.FindSimilar(probe, 3, segment.Scaling()).empty());
   EXPECT_GT(store->cache_stats().evictions, 0u);
+  std::remove(path.c_str());
+}
+
+/// Bitwise equality of two search results: every hit (id and distance
+/// bits) and all three cost counters.
+void ExpectSameResult(const index::KnnResult& want,
+                      const index::KnnResult& got) {
+  ASSERT_EQ(want.hits.size(), got.hits.size());
+  for (size_t i = 0; i < want.hits.size(); ++i) {
+    EXPECT_EQ(want.hits[i].og_id, got.hits[i].og_id) << "hit " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(want.hits[i].distance),
+              std::bit_cast<uint64_t>(got.hits[i].distance))
+        << "hit " << i;
+  }
+  EXPECT_EQ(want.distance_computations, got.distance_computations);
+  EXPECT_EQ(want.lb_prunes, got.lb_prunes);
+  EXPECT_EQ(want.early_abandons, got.early_abandons);
+}
+
+uint64_t Pins(const BufferCacheStats& s) { return s.hits + s.misses; }
+
+// Filter and refine: a paged leaf entry keeps its lower-bound summary
+// resident, so the cascade runs before the fetch and a candidate it prunes
+// is never read. With 4 KiB pages every leaf record is inline, so one pin is
+// one record read, and a query may pin at most one record per DP it runs.
+TEST(PagedIndex, CascadePrunedCandidatesAreNeverFetched) {
+  synth::SynthParams sp;
+  sp.items_per_cluster = 4;
+  const synth::SynthDataset ds = synth::GenerateSyntheticOgs(sp);
+  const dist::FeatureScaling scaling = synth::SynthScaling();
+  const std::vector<dist::Sequence> probes = ds.TrueSequences(scaling);
+  ASSERT_EQ(probes.size(), 48u);
+
+  StorageParams params;
+  params.paged = true;
+  params.page_size = 4096;
+  params.cache_bytes = 16 * 4096;
+  params.cache_shards = 2;
+  std::string path = TempPath("prs_cascade_filter.pages");
+  auto store = PagedRecordStore::Create(path, params).value();
+
+  index::StrgIndexParams ip;
+  ip.num_clusters = 8;
+  index::StrgIndex ram(ip);
+  ram.AddSegment(core::BackgroundGraph{}, ds.Sequences(scaling));
+  ip.paged_store = store.get();
+  index::StrgIndex paged(ip);
+  paged.AddSegment(core::BackgroundGraph{}, ds.Sequences(scaling));
+
+  size_t lb_prunes = 0;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    SCOPED_TRACE("probe " + std::to_string(i));
+    const index::KnnResult want_knn = ram.Knn(probes[i], 10);
+    ASSERT_EQ(want_knn.hits.size(), 10u);
+    uint64_t before = Pins(store->cache_stats());
+    const index::KnnResult got_knn = paged.Knn(probes[i], 10);
+    EXPECT_LE(Pins(store->cache_stats()) - before,
+              got_knn.distance_computations)
+        << "kNN read a candidate the cascade pruned";
+    ExpectSameResult(want_knn, got_knn);
+
+    const double radius = want_knn.hits.back().distance;
+    const index::KnnResult want_range = ram.RangeSearch(probes[i], radius);
+    before = Pins(store->cache_stats());
+    const index::KnnResult got_range = paged.RangeSearch(probes[i], radius);
+    EXPECT_LE(Pins(store->cache_stats()) - before,
+              got_range.distance_computations)
+        << "range search read a candidate the cascade pruned";
+    ExpectSameResult(want_range, got_range);
+    lb_prunes += got_knn.lb_prunes + got_range.lb_prunes;
+  }
+  EXPECT_GT(lb_prunes, 0u);  // the filter had candidates to prune
+  EXPECT_EQ(store->cache_stats().pinned_pages, 0u);
+  store.reset();
   std::remove(path.c_str());
 }
 
