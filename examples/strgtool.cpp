@@ -37,6 +37,8 @@
 //       micro-time the point-distance batch and exact EGED DP on every tier
 //       this host can run (scalar is always available; vector tiers must be
 //       bit-identical, so the timings are the only observable difference).
+//       Then the same for the CRC32C tiers that check every WAL record and
+//       page: the active tier and the time per 4 KiB page on each.
 //
 // Demonstrates persistence (storage::Catalog + the WAL-backed
 // DurableQueryEngine) plus the retrieval API; a real deployment would
@@ -44,6 +46,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -58,6 +61,7 @@
 #include "server/serve_options.h"
 #include "server/sharded_engine.h"
 #include "storage/catalog.h"
+#include "storage/crc32c.h"
 #include "storage/pager/paged_record_store.h"
 #include "util/random.h"
 #include "util/table.h"
@@ -277,11 +281,12 @@ int Stat(const std::string& path) {
   return 0;
 }
 
-/// `strgtool simd`: the CLI face of the dispatch layer. Prints which tier
+/// `strgtool simd`: the CLI face of the dispatch layers. Prints which tier
 /// the host detected (and which is active, since STRG_SIMD_TIER /
 /// STRG_FORCE_SCALAR can override it), then micro-times the two hot
-/// kernels on every runnable tier. Timings are best-of-5 means so a
-/// background blip does not masquerade as a speedup.
+/// kernels on every runnable tier; then the active CRC32C tier and the
+/// time per 4 KiB page on every CRC tier the host runs. Timings are
+/// best-of-5 means so a background blip does not masquerade as a speedup.
 int Simd() {
   namespace simd = dist::simd;
   using Clock = std::chrono::steady_clock;
@@ -357,6 +362,27 @@ int Simd() {
   table.Print(std::cout);
   std::cout << "(checksum " << FormatDouble(checksum, 3)
             << " — identical on every tier by the bit-identity contract)\n";
+
+  // CRC32C over one 4 KiB page, the pager's checksum unit.
+  std::cout << "\ncrc32c tier:   " << storage::ActiveCrc32cTier().name
+            << "  (override: STRG_FORCE_SCALAR=1)\n";
+  std::string page(4096, '\0');
+  for (char& c : page) c = static_cast<char>(rng.UniformInt(0, 255));
+  uint32_t chain = 0;  // each timed call seeds the next: no dead code
+  double portable_us = 0.0;
+  Table crc_table({"crc32c tier", "us per 4 KiB page", "speedup", "crc"});
+  for (const storage::Crc32cTier& tier : storage::Crc32cTiers()) {
+    const double us = time_us(
+        [&] { chain = tier.fn(page.data(), page.size(), chain); });
+    if (portable_us == 0.0) portable_us = us;  // the portable tier is first
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), "%08x",
+                  tier.fn(page.data(), page.size(), 0));
+    crc_table.AddRow({tier.name, FormatDouble(us, 3),
+                      FormatDouble(portable_us / us, 2) + "x", crc});
+  }
+  crc_table.Print(std::cout);
+  std::cout << "(crc of one page — identical on every tier)\n";
   return 0;
 }
 

@@ -11,10 +11,13 @@
 # and — with STRG_CHECK_TSAN=1 — the cancellation/deadline race,
 # tau-pruning and snapshot-sharing tests under TSan. A `simd` stage re-runs the distance|simd suites under ASan and
 # UBSan with STRG_FORCE_SCALAR=1, covering both dispatch tiers and the env
-# override plumbing. A `cluster` stage runs the cluster|seeding suites under
-# ASan and UBSan (the Elkan/Hamerly bound bookkeeping and its batched
-# kernel hand-off), and the TSan pass adds the parallel-restart equivalence
-# test.
+# override plumbing. A `crc` stage reruns the storage|paging suites under
+# ASan and the recovery suites under UBSan with STRG_FORCE_SCALAR=1, so the
+# portable slice-by-8 CRC32C tier runs end to end under both sanitizers
+# (the default legs run the host's hardware tier). A `cluster` stage runs
+# the cluster|seeding suites under ASan and UBSan (the Elkan/Hamerly bound
+# bookkeeping and its batched kernel hand-off), and the TSan pass adds the
+# parallel-restart equivalence test.
 #
 # A `deadlock` stage rebuilds with STRG_DEADLOCK_CHECK=ON and runs the
 # rank-checker's own matrix (tests/deadlock_rank_test.cpp, death tests
@@ -143,6 +146,18 @@ ctest --test-dir build-asan -L 'distance|simd' --output-on-failure -j
 STRG_FORCE_SCALAR=1 ctest --test-dir build-asan -L 'distance|simd' \
   --output-on-failure -j
 STRG_FORCE_SCALAR=1 ctest --test-dir build-ubsan -L 'distance|simd' \
+  --output-on-failure -j
+
+echo
+echo "== crc stage: portable CRC32C tier end to end (STRG_FORCE_SCALAR=1) =="
+# STRG_FORCE_SCALAR=1 pins slice-by-8 for every page and WAL record, the
+# tier hosts without SSE4.2 run: the page-file, buffer-cache, paged-index
+# and record-store suites under ASan, and the WAL crash matrix and CRC
+# vectors under UBSan (the tables' word assembly is raw byte punning).
+# Both binaries were built by the stages above.
+STRG_FORCE_SCALAR=1 ctest --test-dir build-asan -L 'storage|paging' \
+  --output-on-failure -j
+STRG_FORCE_SCALAR=1 ctest --test-dir build-ubsan -L recovery \
   --output-on-failure -j
 
 if [[ "${STRG_CHECK_TSAN:-0}" == "1" ]]; then

@@ -38,10 +38,11 @@ what the repo has *decided* — contracts that live across files:
                         side of the use_bounds A/B produced them.
   strg-simd-intrinsics  No vendor intrinsics (immintrin.h / arm_neon.h,
                         _mm*/__m*/v*q_f64 tokens) in src/ outside
-                        src/distance/simd/: every vectorized loop goes
-                        through the dispatched KernelOps table so the
-                        scalar-equivalence proof and the per-TU ISA flags
-                        stay in one audited place.
+                        src/distance/simd/ and the one CRC32C hardware
+                        tier, src/storage/crc32c_sse42.cc: every vectorized
+                        loop goes through a runtime-dispatched table so the
+                        portable-equivalence proof and the per-TU ISA flags
+                        stay in audited places.
   strg-test-label       Every tests/*_test.cpp declares `// ctest-labels:`,
                         which tests/CMakeLists.txt applies — so label-driven
                         suites (ctest -L recovery|distance|ingest|static)
@@ -138,6 +139,10 @@ TEST_LABEL_RE = re.compile(r"//\s*ctest-labels:\s*([a-z][a-z0-9_]*)")
 OPTOUT_RE = re.compile(r"STRG_NO_THREAD_SAFETY_ANALYSIS")
 SIMD_TIER_RE = re.compile(r"simd_tier")
 JSON_REPORT_RE = re.compile(r"\bJsonReport\b")
+# The only translation unit outside src/distance/simd/ allowed intrinsics:
+# the SSE4.2 CRC32C tier, compiled alone with -msse4.2 and dispatched by
+# src/storage/crc32c.cc.
+SIMD_CRC_TU = "src/storage/crc32c_sse42.cc"
 SIMD_INTRINSICS_RE = re.compile(
     r"#\s*include\s*<(?:immintrin|x86intrin|arm_neon|emmintrin|xmmintrin"
     r"|smmintrin|tmmintrin|nmmintrin|wmmintrin|avxintrin|avx2intrin)\.h>"
@@ -410,7 +415,8 @@ def lint_tree(root: str) -> list:
         rel = os.path.relpath(path, root)
         in_api_or_storage = rel.startswith(("src/api", "src/storage"))
         in_storage = rel.startswith("src/storage")
-        in_simd = rel.startswith("src/distance/simd")
+        in_simd = (rel.startswith("src/distance/simd") or
+                   rel == SIMD_CRC_TU)
 
         for idx, (raw_line, code_line) in enumerate(zip(raw, code), 1):
             if os.path.abspath(path) != os.path.abspath(sync_h):
@@ -452,10 +458,10 @@ def lint_tree(root: str) -> list:
                         raw_line, "strg-simd-intrinsics", findings, path, idx):
                     findings.append(Finding(
                         path, idx, "strg-simd-intrinsics",
-                        "vendor intrinsics outside src/distance/simd/; add "
-                        "a kernel to the dispatched KernelOps table so the "
-                        "bit-identity proof and per-TU ISA flags stay in "
-                        "one place"))
+                        "vendor intrinsics outside src/distance/simd/ and "
+                        f"{SIMD_CRC_TU}; add a kernel to a dispatched table "
+                        "so the bit-identity proof and per-TU ISA flags "
+                        "stay in audited places"))
             if WALLCLOCK_RE.search(code_line) and not suppressed(
                     raw_line, "strg-no-wallclock-rand", findings, path, idx):
                 findings.append(Finding(
@@ -747,6 +753,19 @@ FIXTURES = {
         "#include <immintrin.h>  "
         "// NOLINT(strg-simd-intrinsics): ISA probe pinned to this TU\n"
         "int f() { return 0; }\n",
+    ),
+    # The CRC tier's exemption is one file, not the storage directory:
+    # intrinsics in any other src/storage file still fail.
+    "strg-simd-intrinsics#storage": (
+        None,
+        {"src/storage/crc32c.cc":
+            "#include <nmmintrin.h>\n"
+            "unsigned f(unsigned c, unsigned v) "
+            "{ return _mm_crc32_u32(c, v); }\n"},
+        {"src/storage/crc32c_sse42.cc":
+            "#include <nmmintrin.h>\n"
+            "unsigned f(unsigned c, unsigned v) "
+            "{ return _mm_crc32_u32(c, v); }\n"},
     ),
     "strg-test-label": (
         "tests/bad_test.cpp",

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "distance/simd/kernels.h"
+#include "util/cpu_features.h"
 
 namespace strg::dist::simd {
 namespace {
@@ -15,14 +16,14 @@ bool HostSupports(Tier tier) {
     case Tier::kScalar:
       return true;
     case Tier::kAvx2:
-#if defined(STRG_SIMD_HAVE_AVX2) && (defined(__x86_64__) || defined(_M_X64))
-      return __builtin_cpu_supports("avx2") != 0;
+#if defined(STRG_SIMD_HAVE_AVX2)
+      return cpu::HasAvx2();
 #else
       return false;
 #endif
     case Tier::kNeon:
 #if defined(STRG_SIMD_HAVE_NEON)
-      return true;  // NEON is aarch64 baseline.
+      return cpu::HasNeon();
 #else
       return false;
 #endif
@@ -33,8 +34,7 @@ bool HostSupports(Tier tier) {
 // Resolves the startup tier: detected best, unless the environment pins one.
 const KernelOps* InitialOps() {
   Tier tier = DetectedTier();
-  const char* force_scalar = std::getenv("STRG_FORCE_SCALAR");
-  if (force_scalar != nullptr && std::strcmp(force_scalar, "1") == 0) {
+  if (cpu::ForceScalar()) {
     tier = Tier::kScalar;
   } else if (const char* name = std::getenv("STRG_SIMD_TIER")) {
     Tier want = tier;

@@ -68,6 +68,24 @@ Record* CopyForWrite(std::shared_ptr<const Record>* slot) {
   return raw;
 }
 
+/// Per-thread decode targets for paged fetches on the query path (the
+/// `static thread_local FlatSequence` idiom of dtw.cpp / edr.cpp). A
+/// fetched candidate is decoded into `seq` and re-flattened into `flat` (or
+/// into a slot of `band` for a range query's batch), all reused through
+/// FlatSequence::Assign, so once a thread has seen its longest sequence
+/// and widest band a fetch allocates nothing. `band` never shrinks, which
+/// keeps the candidate pointers into it stable while a batch is built.
+struct FetchScratch {
+  dist::Sequence seq;
+  dist::FlatSequence flat;
+  std::vector<dist::FlatSequence> band;
+};
+
+FetchScratch& ThreadFetchScratch() {
+  static thread_local FetchScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 /// Per-query search state. Counters live here (not in the global atomic)
@@ -131,35 +149,39 @@ void StrgIndex::OffloadEntry(LeafEntry* entry) {
   entry->flat = dist::FlatSequence();
 }
 
-dist::Sequence StrgIndex::FetchSequence(const LeafEntry& entry) const {
+void StrgIndex::FetchSequence(const LeafEntry& entry,
+                              dist::Sequence* out) const {
   // .value() throws std::runtime_error on a store failure — the index's
   // documented error contract for the paged query path.
   storage::PagedRecordStore::RecordRef ref =
       params_.paged_store->Read(entry.record).value();
   storage::Reader r(ref.bytes());
-  return storage::DecodeSequence(&r);
+  storage::DecodeSequence(&r, out);
 }
 
 double StrgIndex::SearchMetricLeaf(SearchCtx* ctx, const LeafEntry& entry,
                                    double tau) const {
   if (entry.record != kNoLeafRecord) {
+    FetchScratch& scratch = ThreadFetchScratch();
     if (!ctx->use_fast) {
       ++ctx->stats.dp_evals;
-      return dist::EgedMetric(*ctx->query_seq, FetchSequence(entry),
+      FetchSequence(entry, &scratch.seq);
+      return dist::EgedMetric(*ctx->query_seq, scratch.seq,
                               params_.metric_gap);
     }
     // Paged: the resident summary answers the kernel's lower-bound cascade,
     // so a pruned candidate costs no page read. Survivors are fetched,
-    // decoded and re-flattened; the decode is deterministic (fixed-width
-    // doubles), so the distance and the counters are bit-identical to the
-    // in-RAM entry's.
+    // decoded and re-flattened into this thread's reused scratch; the
+    // decode is deterministic (fixed-width doubles), so the distance and
+    // the counters are bit-identical to the in-RAM entry's.
     double lb = 0.0;
     if (dist::EgedCascadePrunes(ctx->query_flat.summary(), *entry.summary,
                                 tau, &lb, &ctx->stats)) {
       return lb;
     }
-    dist::FlatSequence flat(FetchSequence(entry), params_.metric_gap);
-    return dist::EgedMetricBounded(ctx->query_flat, flat, tau,
+    FetchSequence(entry, &scratch.seq);
+    scratch.flat.Assign(scratch.seq, params_.metric_gap);
+    return dist::EgedMetricBounded(ctx->query_flat, scratch.flat, tau,
                                    &dist::ThreadLocalEgedWorkspace(),
                                    &ctx->stats);
   }
@@ -383,8 +405,11 @@ void StrgIndex::MaybeSplit(RootRecord* root, size_t cluster_pos,
   const size_t n = cluster.leaf.size();
   std::vector<dist::Sequence> members(n);
   for (size_t j = 0; j < n; ++j) {
-    members[j] = paged ? FetchSequence(cluster.leaf[j])
-                       : std::move(cluster.leaf[j].sequence);
+    if (paged) {
+      FetchSequence(cluster.leaf[j], &members[j]);
+    } else {
+      members[j] = std::move(cluster.leaf[j].sequence);
+    }
   }
   auto restore_members = [&]() {
     if (paged) return;
@@ -700,11 +725,12 @@ KnnResult StrgIndex::RangeSearch(const dist::Sequence& query, double radius,
   if (ctx.use_fast) ctx.query_flat.Assign(query, params_.metric_gap);
 
   // Batch scratch for the fast path, hoisted so per-cluster bands reuse
-  // capacity across the scan.
+  // capacity across the scan. Paged members are flattened into the
+  // thread's fetch scratch instead.
   std::vector<const dist::FlatSequence*> cands;
   std::vector<const LeafEntry*> band;
-  std::vector<dist::FlatSequence> paged_flats;
   std::vector<double> taus, dists;
+  FetchScratch& scratch = ThreadFetchScratch();
 
   auto search_root = [&](const RootRecord& root) {
     for (const auto& cluster_ptr : root.clusters) {
@@ -735,26 +761,31 @@ KnnResult StrgIndex::RangeSearch(const dist::Sequence& query, double radius,
       // member first meets the kernel's cascade on its resident summary:
       // one it prunes (counted there, exactly as the kernel would) is no
       // hit and is never fetched. The rest are fetched and re-flattened up
-      // front; the reserve keeps their flats stable while candidate
-      // pointers accumulate.
+      // front into the scratch pool, grown (never shrunk) to the band
+      // before any candidate pointer into it is taken.
       band.clear();
+      size_t fetches = 0;
       for (auto it = lo; it != leaf.end() && it->key <= key_q + radius;
            ++it) {
-        double lb = 0.0;
-        if (it->record != kNoLeafRecord &&
-            dist::EgedCascadePrunes(ctx.query_flat.summary(), *it->summary,
-                                    radius, &lb, &ctx.stats)) {
-          continue;
+        if (it->record != kNoLeafRecord) {
+          double lb = 0.0;
+          if (dist::EgedCascadePrunes(ctx.query_flat.summary(), *it->summary,
+                                      radius, &lb, &ctx.stats)) {
+            continue;
+          }
+          ++fetches;
         }
         band.push_back(&*it);
       }
+      if (scratch.band.size() < fetches) scratch.band.resize(fetches);
       cands.clear();
-      paged_flats.clear();
-      paged_flats.reserve(band.size());
+      size_t slot = 0;
       for (const LeafEntry* e : band) {
         if (e->record != kNoLeafRecord) {
-          paged_flats.emplace_back(FetchSequence(*e), params_.metric_gap);
-          cands.push_back(&paged_flats.back());
+          dist::FlatSequence& flat = scratch.band[slot++];
+          FetchSequence(*e, &scratch.seq);
+          flat.Assign(scratch.seq, params_.metric_gap);
+          cands.push_back(&flat);
         } else {
           cands.push_back(&e->flat);
         }

@@ -66,7 +66,11 @@ struct StrgIndexParams {
   /// lower-bound cascade reads. Once a query has a finite pruning radius
   /// it runs the cascade on that summary first and fetches, decodes and
   /// re-flattens (through the store's buffer cache) only the candidates it
-  /// cannot prune — the ones that reach the DP. The decode is
+  /// cannot prune — the ones that reach the DP. A fetch decodes into
+  /// per-thread scratch (one sequence and one flat form for kNN, a pool of
+  /// flat forms for a range query's band) that is reused across
+  /// candidates and queries, so a fetch of an inline record (one that
+  /// fits its page) that hits the cache allocates nothing. The decode is
   /// deterministic (fixed-width doubles), so hits, distances and every
   /// KnnResult counter are bit-identical to the in-RAM mode — only
   /// residency and page reads change. Centroids, keys, and covering radii
@@ -306,11 +310,11 @@ class StrgIndex {
 
   /// Paged-mode helpers (no-ops / trivial when paged_store is unset).
   /// Offload serializes the entry's sequence into the store, keeps its
-  /// LbSummary, and drops the resident copies; Fetch reads it back
-  /// (throwing std::runtime_error on a store failure, per the class
-  /// contract). EntryLength works in both modes.
+  /// LbSummary, and drops the resident copies; Fetch decodes it back into
+  /// `*out`, reusing its capacity (throwing std::runtime_error on a store
+  /// failure, per the class contract). EntryLength works in both modes.
   void OffloadEntry(LeafEntry* entry);
-  dist::Sequence FetchSequence(const LeafEntry& entry) const;
+  void FetchSequence(const LeafEntry& entry, dist::Sequence* out) const;
   size_t EntryLength(const LeafEntry& entry) const {
     return entry.record == kNoLeafRecord ? entry.sequence.size()
                                          : entry.seq_len;

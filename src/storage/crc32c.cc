@@ -1,8 +1,18 @@
 #include "storage/crc32c.h"
 
 #include <array>
+#include <vector>
+
+#include "util/cpu_features.h"
 
 namespace strg::storage {
+
+#if defined(STRG_CRC32C_HAVE_SSE42)
+// Single-stream SSE4.2 tier, defined in crc32c_sse42.cc (the one storage
+// translation unit compiled with -msse4.2). Call only when
+// cpu::HasSse42().
+uint32_t Crc32cSse42(const void* data, size_t len, uint32_t seed);
+#endif
 
 namespace {
 
@@ -33,9 +43,33 @@ constexpr Crc32cTables MakeCrc32cTables() {
 
 constexpr Crc32cTables kCrc32cTables = MakeCrc32cTables();
 
+constexpr Crc32cTier kPortableTier{"slice-by-8", &Crc32cPortable};
+
 }  // namespace
 
+std::span<const Crc32cTier> Crc32cTiers() {
+  static const std::vector<Crc32cTier> tiers = [] {
+    std::vector<Crc32cTier> t{kPortableTier};
+#if defined(STRG_CRC32C_HAVE_SSE42)
+    if (cpu::HasSse42()) t.push_back({"sse4.2", &Crc32cSse42});
+#endif
+    return t;
+  }();
+  return tiers;
+}
+
+const Crc32cTier& ActiveCrc32cTier() {
+  // The last listed tier is the fastest the host runs.
+  static const Crc32cTier& active =
+      cpu::ForceScalar() ? kPortableTier : Crc32cTiers().back();
+  return active;
+}
+
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
+  return ActiveCrc32cTier().fn(data, len, seed);
+}
+
+uint32_t Crc32cPortable(const void* data, size_t len, uint32_t seed) {
   const auto& t = kCrc32cTables;
   const char* p = static_cast<const char*>(data);
   uint32_t crc = ~seed;

@@ -3,16 +3,37 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace strg::storage {
 
 /// CRC32C (Castagnoli polynomial, the one with hardware support on modern
-/// CPUs and strong burst-error detection for storage framing). Portable
-/// slice-by-8 software tables (eight bytes per step, no intrinsics);
-/// `seed` chains partial computations. Shared by the
-/// WAL record framing and the pager's per-page checksums — one checksum
-/// vocabulary for every torn-write detector in the tree.
+/// CPUs and strong burst-error detection for storage framing); `seed`
+/// chains partial computations. Shared by the WAL record framing and the
+/// pager's per-page checksums — one checksum vocabulary for every
+/// torn-write detector in the tree.
+///
+/// Dispatched once, at first use, by the host CPU: SSE4.2's `crc32`
+/// instruction (eight bytes per instruction, src/storage/crc32c_sse42.cc)
+/// where the host has it, else the portable tier below. STRG_FORCE_SCALAR=1
+/// pins the portable tier. Every tier returns the same value.
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed = 0);
+
+/// The portable tier: slice-by-8 software tables (eight bytes per step, no
+/// intrinsics). Always available.
+uint32_t Crc32cPortable(const void* data, size_t len, uint32_t seed = 0);
+
+/// One CRC32C implementation, for tooling that names or times the tiers.
+struct Crc32cTier {
+  const char* name;
+  uint32_t (*fn)(const void* data, size_t len, uint32_t seed);
+};
+
+/// The tier Crc32c runs.
+const Crc32cTier& ActiveCrc32cTier();
+
+/// Every tier this host and build can run, portable first.
+std::span<const Crc32cTier> Crc32cTiers();
 
 /// Little-endian fixed-width framing helpers used by every on-disk format
 /// (WAL record headers, page headers). The serializer's Writer/Reader wrap
@@ -29,6 +50,11 @@ inline uint32_t GetLe32(const char* p) {
          static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
          static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
          static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
+}
+
+inline uint64_t GetLe64(const char* p) {
+  return static_cast<uint64_t>(GetLe32(p)) |
+         static_cast<uint64_t>(GetLe32(p + 4)) << 32;
 }
 
 }  // namespace strg::storage

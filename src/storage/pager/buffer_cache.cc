@@ -54,9 +54,14 @@ void BufferCache::PageRef::Release() {
 
 void BufferCache::TouchLocked(Shard& s, size_t frame) {
   auto it = s.lru_pos.find(frame);
-  if (it != s.lru_pos.end()) s.lru.erase(it->second);
+  if (it != s.lru_pos.end()) {
+    // Relink the existing node at the front: no free/malloc under the
+    // shard lock, and the iterator in lru_pos stays valid.
+    s.lru.splice(s.lru.begin(), s.lru, it->second);
+    return;
+  }
   s.lru.push_front(frame);
-  s.lru_pos[frame] = s.lru.begin();
+  s.lru_pos.emplace(frame, s.lru.begin());
 }
 
 void BufferCache::UnlinkLruLocked(Shard& s, size_t frame) {

@@ -1,7 +1,10 @@
 #include "storage/serializer.h"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
+
+#include "storage/crc32c.h"
 
 namespace strg::storage {
 
@@ -33,10 +36,12 @@ void Writer::PutString(const std::string& s) {
   bytes_.append(s);
 }
 
+void Reader::Truncated() {
+  throw std::out_of_range("storage::Reader: truncated input");  // NOLINT(strg-no-throw): Reader contract; Catalog translates to kCorruption
+}
+
 void Reader::Need(size_t n) const {
-  if (pos_ + n > bytes_.size()) {
-    throw std::out_of_range("storage::Reader: truncated input");  // NOLINT(strg-no-throw): Reader contract; Catalog translates to kCorruption
-  }
+  if (n > remaining()) Truncated();
 }
 
 uint8_t Reader::GetU8() {
@@ -45,14 +50,16 @@ uint8_t Reader::GetU8() {
 }
 
 uint32_t Reader::GetU32() {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(GetU8()) << (8 * i);
+  Need(4);
+  const uint32_t v = GetLe32(bytes_.data() + pos_);
+  pos_ += 4;
   return v;
 }
 
 uint64_t Reader::GetU64() {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(GetU8()) << (8 * i);
+  Need(8);
+  const uint64_t v = GetLe64(bytes_.data() + pos_);
+  pos_ += 8;
   return v;
 }
 
@@ -71,11 +78,21 @@ uint64_t Reader::GetVarint() {
   return v;
 }
 
-double Reader::GetDouble() {
-  uint64_t bits = GetU64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+double Reader::GetDouble() { return std::bit_cast<double>(GetU64()); }
+
+void Reader::GetDoubles(double* out, size_t n) {
+  if (n > remaining() / sizeof(double)) Truncated();
+  if (n == 0) return;
+  const char* src = bytes_.data() + pos_;
+  if constexpr (std::endian::native == std::endian::little) {
+    // The encoding is the little-endian IEEE-754 image: one copy.
+    std::memcpy(out, src, n * sizeof(double));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = std::bit_cast<double>(GetLe64(src + i * sizeof(double)));
+    }
+  }
+  pos_ += n * sizeof(double);
 }
 
 std::string Reader::GetString() {
@@ -111,16 +128,15 @@ void EncodeSequence(const dist::Sequence& seq, Writer* w) {
   }
 }
 
-dist::Sequence DecodeSequence(Reader* r) {
+void DecodeSequence(Reader* r, dist::Sequence* seq) {
+  static_assert(sizeof(dist::FeatureVec) == dist::kFeatureDim * sizeof(double),
+                "a Sequence must be one contiguous run of doubles");
   size_t n = static_cast<size_t>(r->GetVarint());
   if (n > r->remaining() / (8 * dist::kFeatureDim)) {
     throw std::out_of_range("DecodeSequence: length exceeds buffer");  // NOLINT(strg-no-throw): Reader contract; Catalog translates to kCorruption
   }
-  dist::Sequence seq(n);
-  for (auto& v : seq) {
-    for (double& x : v) x = r->GetDouble();
-  }
-  return seq;
+  seq->resize(n);
+  r->GetDoubles(reinterpret_cast<double*>(seq->data()), n * dist::kFeatureDim);
 }
 
 void EncodeOg(const core::Og& og, Writer* w) {

@@ -31,7 +31,8 @@ class Writer {
 };
 
 /// Reader over a byte buffer; every getter throws std::out_of_range on
-/// truncated input (corrupt files fail loudly, never silently).
+/// truncated input (corrupt files fail loudly, never silently). A
+/// fixed-width getter checks the bounds once per value, not once per byte.
 class Reader {
  public:
   explicit Reader(std::string_view bytes) : bytes_(bytes) {}
@@ -41,12 +42,17 @@ class Reader {
   uint64_t GetU64();
   uint64_t GetVarint();
   double GetDouble();
+  /// Reads `n` consecutive doubles into out[0, n) after one bounds check
+  /// for all of them; bit-identical to `n` GetDouble calls. On truncation
+  /// it throws before writing anything.
+  void GetDoubles(double* out, size_t n);
   std::string GetString();
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
   size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
+  [[noreturn]] static void Truncated();
   void Need(size_t n) const;
   std::string_view bytes_;
   size_t pos_ = 0;
@@ -58,7 +64,11 @@ void EncodeNodeAttr(const graph::NodeAttr& attr, Writer* w);
 graph::NodeAttr DecodeNodeAttr(Reader* r);
 
 void EncodeSequence(const dist::Sequence& seq, Writer* w);
-dist::Sequence DecodeSequence(Reader* r);
+/// Decodes into `*seq`, reusing its capacity (a caller that keeps one
+/// Sequence across decodes stops allocating once it has seen its longest
+/// sequence). Throws std::out_of_range on truncated input, leaving `*seq`
+/// unspecified.
+void DecodeSequence(Reader* r, dist::Sequence* seq);
 
 void EncodeOg(const core::Og& og, Writer* w);
 core::Og DecodeOg(Reader* r);

@@ -5,13 +5,16 @@
 // record layer (inline + overflow-chained records, delete, reopen, stats),
 // and the acceptance contract that a paged index answers queries
 // bit-identically to the in-RAM index at every cache size, reading only the
-// candidates its resident lower bounds cannot prune.
+// candidates its resident lower bounds cannot prune, and allocating nothing
+// more than the in-RAM index when every read hits the cache.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +30,38 @@
 #include "synth/generator.h"
 #include "util/random.h"
 #include "video/scenes.h"
+
+// ---- global allocation counter (PagedIndex.CacheHitFetchesDoNotAllocate)
+//
+// The pattern of bench/bench_ingest.cpp: replacing the global operator
+// new/delete in this binary lets a test count heap allocations. Counting
+// is gated, so every other test is unaffected.
+
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](size_t size) { return operator new(size); }
+
+// Out of line: inlined into a new-expression's cleanup, the free() would
+// trip GCC's -Wmismatched-new-delete (it cannot see that new is malloc).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace strg::storage {
 namespace {
@@ -646,6 +681,86 @@ TEST(PagedIndex, CascadePrunedCandidatesAreNeverFetched) {
   }
   EXPECT_GT(lb_prunes, 0u);  // the filter had candidates to prune
   EXPECT_EQ(store->cache_stats().pinned_pages, 0u);
+  store.reset();
+  std::remove(path.c_str());
+}
+
+/// Heap allocations made while `fn()` runs; the counter is process-wide, so
+/// the caller must run no other thread meanwhile.
+template <typename Fn>
+uint64_t AllocationsDuring(Fn&& fn) {
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  fn();
+  g_count_allocs.store(false, std::memory_order_relaxed);
+  return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+// With the whole store resident, a paged query differs from its in-RAM
+// twin only by its fetches: a cache pin, a decode and a re-flatten per
+// candidate. Each fetch reuses the thread's decode scratch and relinks its
+// LRU node, so the paged query allocates no more than the twin (plus a
+// small constant), however many records it reads.
+TEST(PagedIndex, CacheHitFetchesDoNotAllocate) {
+  synth::SynthParams sp;
+  sp.items_per_cluster = 4;
+  const synth::SynthDataset ds = synth::GenerateSyntheticOgs(sp);
+  const dist::FeatureScaling scaling = synth::SynthScaling();
+  const std::vector<dist::Sequence> probes = ds.TrueSequences(scaling);
+
+  StorageParams params;
+  params.paged = true;
+  params.page_size = 4096;
+  params.cache_bytes = 1 << 20;
+  params.cache_shards = 2;
+  std::string path = TempPath("prs_cache_hit_allocs.pages");
+  auto store = PagedRecordStore::Create(path, params).value();
+
+  index::StrgIndexParams ip;
+  ip.num_clusters = 8;
+  index::StrgIndex ram(ip);
+  ram.AddSegment(core::BackgroundGraph{}, ds.Sequences(scaling));
+  ip.paged_store = store.get();
+  index::StrgIndex paged(ip);
+  paged.AddSegment(core::BackgroundGraph{}, ds.Sequences(scaling));
+  ASSERT_LE(store->file().num_pages() * params.page_size, params.cache_bytes)
+      << "the cache must hold the whole store";
+
+  // Warm pass: every record the queries read is resident, and both indexes'
+  // per-thread scratch has grown to its high-water mark.
+  for (const dist::Sequence& probe : probes) {
+    const double radius = ram.Knn(probe, 10).hits.back().distance;
+    paged.Knn(probe, 10);
+    ram.RangeSearch(probe, radius);
+    paged.RangeSearch(probe, radius);
+  }
+
+  const BufferCacheStats start = store->cache_stats();
+  for (size_t i = 0; i < probes.size(); ++i) {
+    SCOPED_TRACE("probe " + std::to_string(i));
+    index::KnnResult want_knn, got_knn, want_range, got_range;
+    const uint64_t ram_knn =
+        AllocationsDuring([&] { want_knn = ram.Knn(probes[i], 10); });
+    const uint64_t paged_knn =
+        AllocationsDuring([&] { got_knn = paged.Knn(probes[i], 10); });
+    ExpectSameResult(want_knn, got_knn);
+    EXPECT_LE(paged_knn, ram_knn + 4) << "kNN fetches allocated";
+
+    const double radius = want_knn.hits.back().distance;
+    const uint64_t ram_range = AllocationsDuring(
+        [&] { want_range = ram.RangeSearch(probes[i], radius); });
+    const uint64_t paged_range = AllocationsDuring(
+        [&] { got_range = paged.RangeSearch(probes[i], radius); });
+    ExpectSameResult(want_range, got_range);
+    EXPECT_LE(paged_range, ram_range + 4) << "range fetches allocated";
+  }
+  const BufferCacheStats end = store->cache_stats();
+  EXPECT_EQ(end.misses, start.misses) << "a measured read missed the cache";
+  // Not vacuous: the measured queries really read records through the cache.
+  const double pins_per_query = static_cast<double>(Pins(end) - Pins(start)) /
+                                static_cast<double>(2 * probes.size());
+  EXPECT_GE(pins_per_query, 50.0);
+  EXPECT_EQ(end.pinned_pages, 0u);
   store.reset();
   std::remove(path.c_str());
 }

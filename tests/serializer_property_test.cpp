@@ -6,8 +6,13 @@
 // surfaces as a typed api::Status (never a crash, never silent garbage).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/catalog.h"
@@ -116,23 +121,62 @@ TEST(SerializerProperty, RandomizedCatalogsRoundTripFlat) {
   }
 }
 
+/// One feature value whose bits stress the codec: mostly ordinary doubles,
+/// mixed with -0.0, subnormals, infinities and NaNs carrying random
+/// payloads (a decoder that goes through arithmetic or a canonicalizing
+/// load would lose them).
+double RandomFeatureBits(Rng* rng) {
+  const uint64_t raw = rng->engine()();
+  switch (rng->UniformInt(0, 7)) {
+    case 0:
+      return -0.0;
+    case 1:  // subnormal: exponent 0, nonzero mantissa, either sign
+      return std::bit_cast<double>((raw & 0x800FFFFFFFFFFFFFull) | 1u);
+    case 2:  // NaN: exponent all ones, nonzero payload, either sign
+      return std::bit_cast<double>((raw & 0x800FFFFFFFFFFFFFull) |
+                                   0x7FF0000000000001ull);
+    case 3:
+      return (raw & 1u) ? std::numeric_limits<double>::infinity()
+                        : -std::numeric_limits<double>::infinity();
+    default:
+      return rng->Uniform(-1e6, 1e6);
+  }
+}
+
 TEST(SerializerProperty, RandomizedSequencesRoundTrip) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
+  // One Sequence is reused across every decode, as the paged index reuses
+  // its scratch: lengths go up and down, so the decode must both grow the
+  // buffer and shrink the logical size without leaving stale points.
+  dist::Sequence back;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(seed);
-    dist::Sequence seq(1 + static_cast<size_t>(rng.Uniform(0, 60)));
+    dist::Sequence seq(static_cast<size_t>(rng.UniformInt(0, 60)));
     for (auto& v : seq) {
-      for (double& x : v) x = rng.Uniform(-1e6, 1e6);
+      for (double& x : v) x = RandomFeatureBits(&rng);
     }
     Writer w;
     EncodeSequence(seq, &w);
     Reader r(w.bytes());
-    dist::Sequence back = DecodeSequence(&r);
+    DecodeSequence(&r, &back);
     EXPECT_TRUE(r.AtEnd());
     ASSERT_EQ(back.size(), seq.size());
     for (size_t i = 0; i < seq.size(); ++i) {
       for (size_t k = 0; k < dist::kFeatureDim; ++k) {
-        EXPECT_EQ(back[i][k], seq[i][k]);  // bit-identical doubles
+        EXPECT_EQ(std::bit_cast<uint64_t>(back[i][k]),
+                  std::bit_cast<uint64_t>(seq[i][k]))
+            << "point " << i << " dim " << k;
       }
+    }
+
+    // Every strict prefix is truncated input: the decode throws
+    // std::out_of_range, the contract the catalog turns into kCorruption.
+    // The reused target may hold anything afterwards.
+    const std::string& bytes = w.bytes();
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      Reader cut(std::string_view(bytes).substr(0, len));
+      EXPECT_THROW(DecodeSequence(&cut, &back), std::out_of_range)
+          << "prefix length " << len;
     }
   }
 }

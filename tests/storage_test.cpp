@@ -55,7 +55,8 @@ TEST(Serializer, SequenceRoundTrip) {
   Writer w;
   EncodeSequence(seq, &w);
   Reader r(w.bytes());
-  dist::Sequence back = DecodeSequence(&r);
+  dist::Sequence back;
+  DecodeSequence(&r, &back);
   ASSERT_EQ(back.size(), seq.size());
   for (size_t i = 0; i < seq.size(); ++i) {
     for (size_t k = 0; k < dist::kFeatureDim; ++k) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "server/durable_engine.h"
+#include "storage/crc32c.h"
 #include "storage/wal.h"
 #include "synth/generator.h"
 
@@ -121,8 +122,8 @@ void ExpectSameAnswers(const std::vector<api::VideoDatabase::QueryHit>& a,
 // ---- CRC32C + raw log framing -------------------------------------------
 
 /// Bit-at-a-time CRC32C (reflected Castagnoli polynomial): the definition
-/// the table-driven storage::Crc32c must reproduce on every input, so WAL
-/// and page files written by any earlier build still verify.
+/// every storage::Crc32c tier must reproduce on every input, so WAL and
+/// page files written by any earlier build, on any host, still verify.
 uint32_t ReferenceCrc32c(const char* data, size_t len, uint32_t seed) {
   uint32_t crc = ~seed;
   for (size_t i = 0; i < len; ++i) {
@@ -141,45 +142,55 @@ std::string RandomBytes(std::mt19937_64* rng, size_t n) {
 }
 
 TEST(Crc32c, KnownVectorAndChaining) {
+  // The dispatched entry point (the host's fastest tier, or slice-by-8
+  // under STRG_FORCE_SCALAR=1), the portable tier, and every other tier
+  // the host runs (so the hardware tier is checked under the override too).
+  std::vector<storage::Crc32cTier> tiers = {
+      {"Crc32c", &storage::Crc32c}, {"Crc32cPortable", &storage::Crc32cPortable}};
+  for (const storage::Crc32cTier& tier : storage::Crc32cTiers()) {
+    if (tier.fn != &storage::Crc32cPortable) tiers.push_back(tier);
+  }
   // RFC 3720 check value for "123456789".
   const char kCheck[] = "123456789";
-  EXPECT_EQ(storage::Crc32c(kCheck, 9), 0xE3069283u);
   EXPECT_EQ(ReferenceCrc32c(kCheck, 9, 0), 0xE3069283u);
-  EXPECT_EQ(storage::Crc32c(kCheck, 0), 0u);
-  // Chained partial computation must equal the one-shot CRC.
-  uint32_t part = storage::Crc32c(kCheck, 4);
-  EXPECT_EQ(storage::Crc32c(kCheck + 4, 5, part),
-            storage::Crc32c(kCheck, 9));
+  for (const storage::Crc32cTier& tier : tiers) {
+    SCOPED_TRACE(tier.name);
+    const auto crc = tier.fn;
+    EXPECT_EQ(crc(kCheck, 9, 0), 0xE3069283u);
+    EXPECT_EQ(crc(kCheck, 0, 0), 0u);
+    // Chained partial computation must equal the one-shot CRC.
+    uint32_t part = crc(kCheck, 4, 0);
+    EXPECT_EQ(crc(kCheck + 4, 5, part), crc(kCheck, 9, 0));
 
-  std::mt19937_64 rng(20260517);
-  // Every length 0..64 at each of the 8 start offsets: covers the 8-byte
-  // step, the byte tail, and every misalignment of the word reads.
-  const std::string small = RandomBytes(&rng, 8 + 64);
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 64; ++len) {
-      EXPECT_EQ(storage::Crc32c(small.data() + offset, len),
-                ReferenceCrc32c(small.data() + offset, len, 0))
-          << "offset " << offset << " len " << len;
+    std::mt19937_64 rng(20260517);
+    // Every length 0..64 at each of the 8 start offsets: covers the 8-byte
+    // step, the byte tail, and every misalignment of the word reads.
+    const std::string small = RandomBytes(&rng, 8 + 64);
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len = 0; len <= 64; ++len) {
+        EXPECT_EQ(crc(small.data() + offset, len, 0),
+                  ReferenceCrc32c(small.data() + offset, len, 0))
+            << "offset " << offset << " len " << len;
+      }
     }
-  }
-  // Whole 4 KiB pages (the pager's checksum unit), from random seeds too.
-  for (int page = 0; page < 8; ++page) {
-    const std::string bytes = RandomBytes(&rng, 4096);
-    const uint32_t seed = page == 0 ? 0u : static_cast<uint32_t>(rng());
-    EXPECT_EQ(storage::Crc32c(bytes.data(), bytes.size(), seed),
-              ReferenceCrc32c(bytes.data(), bytes.size(), seed))
-        << "page " << page;
-  }
-  // Chained seeds: any split point, from any starting seed, equals the
-  // one-shot reference.
-  const std::string chain = RandomBytes(&rng, 301);
-  for (uint32_t seed : {0u, 0xFFFFFFFFu, static_cast<uint32_t>(rng())}) {
-    const uint32_t whole = ReferenceCrc32c(chain.data(), chain.size(), seed);
-    for (size_t cut = 0; cut <= chain.size(); cut += 7) {
-      const uint32_t head = storage::Crc32c(chain.data(), cut, seed);
-      EXPECT_EQ(storage::Crc32c(chain.data() + cut, chain.size() - cut, head),
-                whole)
-          << "seed " << seed << " cut " << cut;
+    // Whole 4 KiB pages (the pager's checksum unit), from random seeds too.
+    for (int page = 0; page < 8; ++page) {
+      const std::string bytes = RandomBytes(&rng, 4096);
+      const uint32_t seed = page == 0 ? 0u : static_cast<uint32_t>(rng());
+      EXPECT_EQ(crc(bytes.data(), bytes.size(), seed),
+                ReferenceCrc32c(bytes.data(), bytes.size(), seed))
+          << "page " << page;
+    }
+    // Chained seeds: any split point, from any starting seed, equals the
+    // one-shot reference.
+    const std::string chain = RandomBytes(&rng, 301);
+    for (uint32_t seed : {0u, 0xFFFFFFFFu, static_cast<uint32_t>(rng())}) {
+      const uint32_t whole = ReferenceCrc32c(chain.data(), chain.size(), seed);
+      for (size_t cut = 0; cut <= chain.size(); cut += 7) {
+        const uint32_t head = crc(chain.data(), cut, seed);
+        EXPECT_EQ(crc(chain.data() + cut, chain.size() - cut, head), whole)
+            << "seed " << seed << " cut " << cut;
+      }
     }
   }
 }
