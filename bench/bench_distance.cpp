@@ -16,9 +16,8 @@
 // after warm-up the batch entry point must perform ZERO heap allocations —
 // the bench fails loudly (exit 1) if it allocates.
 //
-// Part 4 — kNN cold path: reference kernel, fast kernel forced scalar, fast
-// kernel at the detected tier. knn_p50_speedup tracks fast-vs-reference;
-// knn_simd_p50_speedup tracks SIMD-vs-scalar on the same fast path.
+// Part 4 — kNN cold path: the index's query kernel forced scalar and at the
+// detected tier. knn_simd_p50_speedup tracks SIMD-vs-scalar.
 //
 // Output: human-readable stdout + BENCH_distance.json.
 
@@ -367,13 +366,12 @@ struct KnnPhase {
   double mean_abandons = 0.0;  // early abandons per query
 };
 
-KnnPhase KnnBench(const std::string& name, bool use_fast, simd::Tier tier,
+KnnPhase KnnBench(const std::string& name, simd::Tier tier,
                   const std::vector<Sequence>& db,
                   const std::vector<Sequence>& queries, int reps) {
   index::StrgIndexParams params;
   params.num_clusters = 12;
   params.cluster_params.max_iterations = 8;
-  params.use_fast_kernel = use_fast;
   index::StrgIndex idx(params);
   idx.AddSegment(core::BackgroundGraph{}, db);
 
@@ -468,8 +466,8 @@ int main() {
     return 1;
   }
 
-  // kNN cold path: identical index structure (builds always use the flat
-  // exact kernel), only the query kernel and dispatch tier differ.
+  // kNN cold path: identical index structure, only the dispatch tier
+  // differs.
   synth::SynthParams sp;
   sp.items_per_cluster = 20;
   sp.noise_pct = 8.0;
@@ -482,27 +480,20 @@ int main() {
   std::vector<dist::Sequence> queries(qall.begin(),
                                       qall.begin() + 24);
 
-  KnnPhase ref = KnnBench("knn_reference_kernel", false,
-                          simd::Tier::kScalar, db, queries, 4 * scale);
-  KnnPhase fast_scalar = KnnBench("knn_fast_scalar", true,
-                                  simd::Tier::kScalar, db, queries,
-                                  4 * scale);
-  KnnPhase fast_simd = KnnBench("knn_fast_simd", true, detected, db, queries,
+  KnnPhase fast_scalar = KnnBench("knn_fast_scalar", simd::Tier::kScalar, db,
+                                  queries, 4 * scale);
+  KnnPhase fast_simd = KnnBench("knn_fast_simd", detected, db, queries,
                                 4 * scale);
-  double speedup_p50 = ref.p50_us / fast_simd.p50_us;
   double simd_speedup_p50 = fast_scalar.p50_us / fast_simd.p50_us;
   std::printf("\n%-22s %10s %10s %10s %10s %10s\n", "knn phase", "p50_us",
               "p99_us", "dp/query", "prunes/q", "abandon/q");
-  for (const KnnPhase* p : {&ref, &fast_scalar, &fast_simd}) {
+  for (const KnnPhase* p : {&fast_scalar, &fast_simd}) {
     std::printf("%-22s %10.1f %10.1f %10.1f %10.1f %10.1f\n",
                 p->name.c_str(), p->p50_us, p->p99_us, p->mean_dp,
                 p->mean_prunes, p->mean_abandons);
   }
-  std::printf("\nuncached kNN p50 speedup vs reference: %.2fx "
-              "(acceptance floor 3x)\n",
-              speedup_p50);
   if (simd_active) {
-    std::printf("uncached kNN p50 speedup, simd vs scalar fast path: %.2fx\n"
+    std::printf("\nuncached kNN p50 speedup, simd vs scalar fast path: %.2fx\n"
                 "  (expected ~1x: tight-tau kNN DPs are band-pruned to "
                 "narrow rows whose\n   horizontal min-chain is scalar-bound; "
                 "the 2x acceptance floor applies to\n   the wide-band "
@@ -510,7 +501,7 @@ int main() {
                 "wavefront\n   and lane-parallel forms actually run)\n",
                 simd_speedup_p50);
   } else {
-    std::printf("uncached kNN simd speedup: n/a — scalar-only host\n");
+    std::printf("\nuncached kNN simd speedup: n/a — scalar-only host\n");
   }
 
   std::string json = "{\"simd_tier\":\"" + std::string(tier_name) + "\"";
@@ -553,7 +544,7 @@ int main() {
           std::to_string(batch.steady_allocs);
   json += "},\"knn\":[";
   bool first = true;
-  for (const KnnPhase* p : {&ref, &fast_scalar, &fast_simd}) {
+  for (const KnnPhase* p : {&fast_scalar, &fast_simd}) {
     if (!first) json += ",";
     first = false;
     json += "{\"phase\":\"" + p->name + "\"";
@@ -563,8 +554,7 @@ int main() {
     json += ",\"mean_lb_prunes\":" + Num(p->mean_prunes);
     json += ",\"mean_early_abandons\":" + Num(p->mean_abandons) + "}";
   }
-  json += "],\"knn_p50_speedup\":" + Num(speedup_p50);
-  json += ",\"knn_simd_p50_speedup\":" + Num(simd_speedup_p50) + "}";
+  json += "],\"knn_simd_p50_speedup\":" + Num(simd_speedup_p50) + "}";
 
   std::ofstream out("BENCH_distance.json");
   out << json << "\n";

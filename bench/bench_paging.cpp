@@ -108,7 +108,7 @@ SweepPoint RunSweepPoint(const api::SegmentResult& segment,
   lat.reserve(probes.size());
   for (const dist::Sequence& probe : probes) {
     auto t0 = Clock::now();
-    auto hits = db.FindSimilar(probe, 10);
+    auto hits = db.Query(api::QuerySpec::Similar(probe, 10));
     lat.push_back(MicrosSince(t0));
     for (const auto& hit : hits) {
       point.answers.emplace_back(hit.og_id,

@@ -188,7 +188,7 @@ PhaseResult RunClosedLoop(const std::string& name, Engine* engine,
   for (size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       std::mt19937 rng(2000 + 31 * c);
-      server::QueryOptions qo;
+      api::SubmitOptions qo;
       qo.use_cache = false;  // measure scatter work, not cache hits
       lat[c].reserve(per_client);
       for (size_t i = 0; i < per_client; ++i) {
@@ -252,7 +252,7 @@ OverloadResult RunOpenLoopOverload(server::ShardedQueryEngine* engine,
   std::atomic<size_t> ok{0}, shed{0}, other{0}, done{0};
 
   std::mt19937 rng(777);
-  server::QueryOptions qo;
+  api::SubmitOptions qo;
   qo.use_cache = false;
   const auto interval = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(1.0 / offered_qps));
@@ -330,7 +330,7 @@ bool CheckEquivalence(const Workload& w, size_t num_shards) {
   FeedBase(&single, w);
   FeedBase(&sharded, w);
 
-  server::QueryOptions qo;
+  api::SubmitOptions qo;
   qo.use_cache = false;
   for (const auto& q : w.queries) {
     auto a = single.Query(api::QuerySpec::Similar(q, kKnnK), qo);

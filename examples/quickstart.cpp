@@ -44,7 +44,8 @@ int main() {
 
   // --- 4. Query: find clips similar to the first extracted OG. ----------
   const core::Og& probe = segment.decomposition.object_graphs[0];
-  auto hits = db.FindSimilar(probe, 3, segment.Scaling());
+  auto hits = db.Query(api::QuerySpec::Similar(
+      dist::OgToSequence(probe, segment.Scaling()), 3));
   std::cout << "\n3-NN for OG starting at frame " << probe.start_frame
             << ":\n";
   for (const auto& hit : hits) {

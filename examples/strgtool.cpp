@@ -216,7 +216,8 @@ int Query(const std::string& path, const std::string& video, size_t og_index,
   dist::FeatureScaling scaling;
   scaling.frame_width = segment->frame_width;
   scaling.frame_height = segment->frame_height;
-  auto hits = db.FindSimilar(segment->ogs[og_index], k, scaling);
+  auto hits = db.Query(api::QuerySpec::Similar(
+      dist::OgToSequence(segment->ogs[og_index], scaling), k));
 
   std::cout << "query: OG " << og_index << " of '" << video << "' (starts at"
             << " frame " << segment->ogs[og_index].start_frame << ")\n";

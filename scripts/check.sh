@@ -180,9 +180,10 @@ if [[ "${STRG_CHECK_TSAN:-0}" == "1" ]]; then
   # store -> buffer cache lock chain runs under the race checker.
   ./build-tsan/tests/sharded_engine_test \
     --gtest_filter='ShardedEngine.CancellationAndDeadlineRaceIsClean:ShardedEngine.TauPruningFiresAndStaysExact:ShardedEngine.DeepLockChainStressWithLiveWriter'
-  # Fast/reference equivalence with the thread pool engaged (parallel build
-  # + concurrent queries) — the data-race check for the kernel's thread-local
-  # workspaces and the per-query counter plumbing.
+  # The query path against its brute-force EgedMetric oracle, pooled-build
+  # determinism (parallel placement and EM restarts), and exact per-query
+  # counters under concurrent load — the data-race check for the kernel's
+  # thread-local workspaces and the per-query counter plumbing.
   ./build-tsan/tests/distance_kernel_test
   # Pooled ingest equivalence under TSan: the ordered-stage merge, the
   # per-worker thread_local segmenter workspaces, and shot-parallel

@@ -11,29 +11,24 @@
 namespace strg::api {
 
 /// Per-request options of the submit/complete query surface. One options
-/// vocabulary across the stack: the bare VideoDatabase, the single
-/// QueryEngine, and the ShardedQueryEngine all take this struct, so a
-/// request keeps its deadline and routing hints as it crosses layers.
-/// (server::QueryOptions is an alias of this type — the historical spelling
-/// kept for source compatibility.)
+/// vocabulary across the serving engines: QueryEngine, DurableQueryEngine
+/// and ShardedQueryEngine all take this struct, so a request keeps its
+/// deadline and routing hints as it crosses layers.
 struct SubmitOptions {
   /// Per-request deadline measured from submission. 0 = none. Negative =
   /// already expired (deterministic deadline handling, used by tests).
   std::chrono::microseconds timeout{0};
-  /// Consult/fill the serving layer's result cache. Ignored by layers that
-  /// have no cache (the bare VideoDatabase).
+  /// Consult/fill the serving layer's result cache.
   bool use_cache = true;
   /// Restrict a scatter-gather query to one shard (>= 0); -1 = fan out to
   /// every shard. Layers without shards ignore it.
   int shard_hint = -1;
 };
 
-/// One value describing any retrieval request the system answers. The three
-/// historical entry points (FindSimilar / FindWithinRadius / FindActive)
-/// collapse into a tagged kind plus the union of their parameters, so every
-/// layer — database dispatch, result-cache keying, metrics attribution —
-/// consumes the same object instead of re-encoding the request per call
-/// site.
+/// One value describing any retrieval request the system answers: a tagged
+/// kind plus the union of the kinds' parameters, so every layer — database
+/// dispatch, result-cache keying, metrics attribution — consumes the same
+/// object instead of re-encoding the request per call site.
 struct QuerySpec {
   enum class Kind {
     kSimilar = 0,  ///< k-NN over stored OGs (Algorithm 3)

@@ -102,11 +102,10 @@ struct ClusterParams {
   /// unbounded likelihood), which would make BIC over-select K.
   double min_sigma = 0.05;
   /// A/B knob for the triangle-inequality bounded assignment path
-  /// (src/cluster/bounds.h), mirroring the use_fast_kernel pattern: results
-  /// are bit-identical either way (cluster_bounds_test pins this), so the
-  /// knob exists to prove it and to measure the saving, not to trade
-  /// accuracy. Only engages when the distance reports IsMetric(); non-metric
-  /// measures always take the exhaustive path.
+  /// (src/cluster/bounds.h): results are bit-identical either way
+  /// (cluster_bounds_test pins this), so the knob exists to prove it and to
+  /// measure the saving, not to trade accuracy. Only engages when the distance
+  /// reports IsMetric(); non-metric measures always take the exhaustive path.
   bool use_bounds = true;
   /// Optional sink for distance-computation counters. Not owned; accumulated
   /// into (never reset) so a caller can aggregate across runs. Must not be

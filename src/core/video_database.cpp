@@ -85,6 +85,7 @@ std::vector<VideoDatabase::QueryHit> VideoDatabase::Query(
       return with_stats(index_.RangeSearch(spec.sequence, spec.radius));
     case QuerySpec::Kind::kActive: {
       std::vector<QueryHit> hits;
+      if (spec.first_frame > spec.last_frame) return hits;
       for (size_t id = 0; id < num_records_; ++id) {
         const OgRecord& rec = Record(id);
         if (rec.video != spec.video) continue;
@@ -98,21 +99,6 @@ std::vector<VideoDatabase::QueryHit> VideoDatabase::Query(
     }
   }
   return {};
-}
-
-std::vector<VideoDatabase::QueryHit> VideoDatabase::Submit(
-    const QuerySpec& spec, const SubmitOptions& /*opts*/,
-    const std::function<void(const std::vector<QueryHit>&)>& on_complete,
-    QueryStats* stats) const {
-  std::vector<QueryHit> hits = Query(spec, stats);
-  if (on_complete) on_complete(hits);
-  return hits;
-}
-
-std::vector<VideoDatabase::QueryHit> VideoDatabase::FindSimilar(
-    const core::Og& query, size_t k,
-    const dist::FeatureScaling& scaling) const {
-  return Query(QuerySpec::Similar(dist::OgToSequence(query, scaling), k));
 }
 
 std::vector<VideoDatabase::QueryHit> VideoDatabase::Resolve(

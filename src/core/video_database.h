@@ -1,7 +1,6 @@
 #ifndef STRG_CORE_VIDEO_DATABASE_H_
 #define STRG_CORE_VIDEO_DATABASE_H_
 
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -68,10 +67,14 @@ class VideoDatabase {
   };
 
   /// The one retrieval entry point: dispatches on spec.kind (k-NN /
-  /// range / temporal window). Every layer above — the serving engine, the
-  /// cache digest, the tools — speaks QuerySpec; the Find* methods below
-  /// are legacy spellings of the same calls. When `stats` is non-null the
-  /// query's cost counters are written there.
+  /// range / temporal window). Every layer above — the serving engines,
+  /// the cache digest, the tools — speaks QuerySpec. A query given as an
+  /// OG is QuerySpec::Similar(dist::OgToSequence(og, scaling), k), with the
+  /// producing segment's Scaling(). When `stats` is non-null the query's
+  /// cost counters are written there.
+  ///
+  /// Degenerate requests answer with no hits: k == 0, radius < 0, and an
+  /// inverted frame window (first_frame > last_frame).
   ///
   /// `initial_tau` (kSimilar only; default +inf = unbounded) seeds the kNN
   /// worst-of-heap pruning radius — the scatter-gather hook a sharded
@@ -81,41 +84,6 @@ class VideoDatabase {
   std::vector<QueryHit> Query(
       const QuerySpec& spec, QueryStats* stats = nullptr,
       double initial_tau = std::numeric_limits<double>::infinity()) const;
-
-  /// The submit/complete surface at the database layer — the degenerate
-  /// synchronous implementation of the API the serving engines
-  /// (server::QueryEngine / ShardedQueryEngine) expose. There is no queue
-  /// and no worker pool here, so the request executes inline on the
-  /// calling thread and `on_complete` (when given) fires with the answer
-  /// before Submit returns; the answer is also returned directly.
-  /// opts.timeout / use_cache / shard_hint are accepted for vocabulary
-  /// uniformity and ignored — a bare database has no admission control, no
-  /// cache, and no shards.
-  std::vector<QueryHit> Submit(
-      const QuerySpec& spec, const SubmitOptions& opts,
-      const std::function<void(const std::vector<QueryHit>&)>& on_complete =
-          nullptr,
-      QueryStats* stats = nullptr) const;
-
-  // ---- Legacy entry points: one-line wrappers over Query(QuerySpec),
-  // ---- kept for source compatibility and slated for eventual removal.
-
-  /// k-NN with the query given as an OG, converted with `scaling` (use the
-  /// producing segment's Scaling()).
-  std::vector<QueryHit> FindSimilar(const core::Og& query, size_t k,
-                                    const dist::FeatureScaling& scaling) const;
-  std::vector<QueryHit> FindSimilar(const dist::Sequence& query,
-                                    size_t k) const {
-    return Query(QuerySpec::Similar(query, k));
-  }
-  std::vector<QueryHit> FindWithinRadius(const dist::Sequence& query,
-                                         double radius) const {
-    return Query(QuerySpec::WithinRadius(query, radius));
-  }
-  std::vector<QueryHit> FindActive(const std::string& video, int first_frame,
-                                   int last_frame) const {
-    return Query(QuerySpec::Active(video, first_frame, last_frame));
-  }
 
   size_t NumVideos() const { return num_videos_; }
   size_t NumObjectGraphs() const { return num_records_; }

@@ -92,9 +92,7 @@ FetchScratch& ThreadFetchScratch() {
 /// so concurrent queries report exact values; the aggregate atomic receives
 /// one fetch_add of `stats.dp_evals` when the query finishes.
 struct StrgIndex::SearchCtx {
-  const dist::Sequence* query_seq = nullptr;  ///< for the reference kernel
-  dist::FlatSequence query_flat;              ///< for the fast kernel
-  bool use_fast = true;
+  dist::FlatSequence query_flat;  ///< the query against the metric gap
   size_t budget = std::numeric_limits<size_t>::max();  ///< max DP evals
   /// Seed pruning radius: the heap's "worst" before it holds k hits.
   /// +inf = unbounded (the single-index behavior); finite = a sharded
@@ -110,12 +108,6 @@ static_assert(std::is_nothrow_move_constructible_v<StrgIndex> &&
 
 StrgIndex::StrgIndex(StrgIndexParams params)
     : params_(params), metric_(params.metric_gap) {}
-
-double StrgIndex::Metric(const dist::Sequence& a,
-                         const dist::Sequence& b) const {
-  distance_count_.value.fetch_add(1, std::memory_order_relaxed);
-  return metric_(a, b);
-}
 
 double StrgIndex::MetricFlat(const dist::FlatSequence& a,
                              const dist::FlatSequence& b) const {
@@ -162,13 +154,6 @@ void StrgIndex::FetchSequence(const LeafEntry& entry,
 double StrgIndex::SearchMetricLeaf(SearchCtx* ctx, const LeafEntry& entry,
                                    double tau) const {
   if (entry.record != kNoLeafRecord) {
-    FetchScratch& scratch = ThreadFetchScratch();
-    if (!ctx->use_fast) {
-      ++ctx->stats.dp_evals;
-      FetchSequence(entry, &scratch.seq);
-      return dist::EgedMetric(*ctx->query_seq, scratch.seq,
-                              params_.metric_gap);
-    }
     // Paged: the resident summary answers the kernel's lower-bound cascade,
     // so a pruned candidate costs no page read. Survivors are fetched,
     // decoded and re-flattened into this thread's reused scratch; the
@@ -179,16 +164,12 @@ double StrgIndex::SearchMetricLeaf(SearchCtx* ctx, const LeafEntry& entry,
                                 tau, &lb, &ctx->stats)) {
       return lb;
     }
+    FetchScratch& scratch = ThreadFetchScratch();
     FetchSequence(entry, &scratch.seq);
     scratch.flat.Assign(scratch.seq, params_.metric_gap);
     return dist::EgedMetricBounded(ctx->query_flat, scratch.flat, tau,
                                    &dist::ThreadLocalEgedWorkspace(),
                                    &ctx->stats);
-  }
-  if (!ctx->use_fast) {
-    ++ctx->stats.dp_evals;
-    return dist::EgedMetric(*ctx->query_seq, entry.sequence,
-                            params_.metric_gap);
   }
   return dist::EgedMetricBounded(ctx->query_flat, entry.flat, tau,
                                  &dist::ThreadLocalEgedWorkspace(),
@@ -198,11 +179,6 @@ double StrgIndex::SearchMetricLeaf(SearchCtx* ctx, const LeafEntry& entry,
 double StrgIndex::SearchMetricCentroid(SearchCtx* ctx,
                                        const ClusterRecord& cluster,
                                        double tau) const {
-  if (!ctx->use_fast) {
-    ++ctx->stats.dp_evals;
-    return dist::EgedMetric(*ctx->query_seq, cluster.centroid,
-                            params_.metric_gap);
-  }
   return dist::EgedMetricBounded(ctx->query_flat, cluster.centroid_flat, tau,
                                  &dist::ThreadLocalEgedWorkspace(),
                                  &ctx->stats);
@@ -558,9 +534,7 @@ void StrgIndex::SearchClusters(const RootRecord& root, SearchCtx* ctx,
   // valid.)
   auto open_cluster = [&](size_t c) {
     const ClusterRecord& cluster = *root.clusters[c];
-    const double w = worst();
-    const double tau_c =
-        ctx->use_fast && w < kInf ? w + cluster.covering_radius : kInf;
+    const double tau_c = worst() + cluster.covering_radius;
     double key_q = SearchMetricCentroid(ctx, cluster, tau_c);
     if (key_q > tau_c) return kInf;
     Frontier& f = frontiers[c];
@@ -583,34 +557,23 @@ void StrgIndex::SearchClusters(const RootRecord& root, SearchCtx* ctx,
   using Queued = std::pair<double, size_t>;  // (lower bound, cluster)
   std::priority_queue<Queued, std::vector<Queued>, std::greater<>> queue;
 
-  if (ctx->use_fast) {
-    // Clusters enter the queue unopened, keyed by a member-distance lower
-    // bound that needs no DP at all: d(q, e) >= d(q, centroid) - cov >=
-    // LB(q, centroid) - cov. The centroid DP is deferred until the cluster
-    // reaches the head of the queue — by which point worst is usually tight
-    // enough that far clusters are popped, compared, and dropped with zero
-    // distance work. The cascade runs as one batched sweep over all
-    // centroid flats (query-side terms hoisted), bit-identical to the
-    // per-cluster calls it replaced.
-    const size_t nc = root.clusters.size();
-    std::vector<const dist::FlatSequence*> cents(nc);
-    std::vector<double> lbs(nc);
-    for (size_t c = 0; c < nc; ++c) {
-      cents[c] = &root.clusters[c]->centroid_flat;
-    }
-    dist::EgedLowerBoundBatch(ctx->query_flat, cents.data(), nc, lbs.data());
-    for (size_t c = 0; c < nc; ++c) {
-      const double lb = lbs[c] - root.clusters[c]->covering_radius;
-      queue.push({std::max(lb, 0.0), c});
-    }
-  } else {
-    // Reference path: eager centroid evaluation in index order — the
-    // pre-optimization behavior, preserved for A/B comparison.
-    for (size_t c = 0; c < root.clusters.size(); ++c) {
-      if (ctx->Exhausted()) return;
-      double lb = open_cluster(c);
-      if (lb != kInf) queue.push({lb, c});
-    }
+  // Clusters enter the queue unopened, keyed by a member-distance lower
+  // bound that needs no DP at all: d(q, e) >= d(q, centroid) - cov >=
+  // LB(q, centroid) - cov. The centroid DP is deferred until the cluster
+  // reaches the head of the queue — by which point worst is usually tight
+  // enough that far clusters are popped, compared, and dropped with zero
+  // distance work. The cascade runs as one batched sweep over all centroid
+  // flats (query-side terms hoisted).
+  const size_t nc = root.clusters.size();
+  std::vector<const dist::FlatSequence*> cents(nc);
+  std::vector<double> lbs(nc);
+  for (size_t c = 0; c < nc; ++c) {
+    cents[c] = &root.clusters[c]->centroid_flat;
+  }
+  dist::EgedLowerBoundBatch(ctx->query_flat, cents.data(), nc, lbs.data());
+  for (size_t c = 0; c < nc; ++c) {
+    const double lb = lbs[c] - root.clusters[c]->covering_radius;
+    queue.push({std::max(lb, 0.0), c});
   }
 
   while (!queue.empty()) {
@@ -681,9 +644,7 @@ KnnResult StrgIndex::Knn(const dist::Sequence& query, size_t k,
   if (k == 0 || roots_.empty()) return result;
 
   SearchCtx ctx;
-  ctx.query_seq = &query;
-  ctx.use_fast = params_.use_fast_kernel;
-  if (ctx.use_fast) ctx.query_flat.Assign(query, params_.metric_gap);
+  ctx.query_flat.Assign(query, params_.metric_gap);
   if (max_distance_computations != 0) ctx.budget = max_distance_computations;
   ctx.tau0 = initial_tau;
 
@@ -720,13 +681,10 @@ KnnResult StrgIndex::RangeSearch(const dist::Sequence& query, double radius,
   if (roots_.empty() || radius < 0.0) return result;
 
   SearchCtx ctx;
-  ctx.query_seq = &query;
-  ctx.use_fast = params_.use_fast_kernel;
-  if (ctx.use_fast) ctx.query_flat.Assign(query, params_.metric_gap);
+  ctx.query_flat.Assign(query, params_.metric_gap);
 
-  // Batch scratch for the fast path, hoisted so per-cluster bands reuse
-  // capacity across the scan. Paged members are flattened into the
-  // thread's fetch scratch instead.
+  // Batch scratch, hoisted so per-cluster bands reuse capacity across the scan.
+  // Paged members are flattened into the thread's fetch scratch instead.
   std::vector<const dist::FlatSequence*> cands;
   std::vector<const LeafEntry*> band;
   std::vector<double> taus, dists;
@@ -739,30 +697,19 @@ KnnResult StrgIndex::RangeSearch(const dist::Sequence& query, double radius,
       // band misses: d(q, e) >= key_q - covering_radius. The centroid
       // evaluation is bounded by that same test, so hopeless clusters are
       // skipped from a lower bound alone.
-      const double tau_c =
-          ctx.use_fast ? radius + cluster.covering_radius : kInf;
+      const double tau_c = radius + cluster.covering_radius;
       double key_q = SearchMetricCentroid(&ctx, cluster, tau_c);
       if (key_q - cluster.covering_radius > radius) continue;
       const auto& leaf = cluster.leaf;
       auto lo = std::lower_bound(
           leaf.begin(), leaf.end(), key_q - radius,
           [](const LeafEntry& e, double v) { return e.key < v; });
-      if (!ctx.use_fast) {
-        for (auto it = lo; it != leaf.end() && it->key <= key_q + radius;
-             ++it) {
-          double d = SearchMetricLeaf(&ctx, *it, radius);
-          if (d <= radius) result.hits.push_back({it->og_id, d});
-        }
-        continue;
-      }
-      // Fast path: the whole key band goes through the batched bounded
-      // kernel in one call (uniform tau = radius), identical per-candidate
-      // arithmetic and stats to the former entry-at-a-time loop. A paged
-      // member first meets the kernel's cascade on its resident summary:
-      // one it prunes (counted there, exactly as the kernel would) is no
-      // hit and is never fetched. The rest are fetched and re-flattened up
-      // front into the scratch pool, grown (never shrunk) to the band
-      // before any candidate pointer into it is taken.
+      // The whole key band goes through the batched bounded kernel in one call
+      // (uniform tau = radius). A paged member first meets the kernel's cascade
+      // on its resident summary: one it prunes (counted there, exactly as the
+      // kernel would) is no hit and is never fetched. The rest are fetched and
+      // re-flattened up front into the scratch pool, grown (never shrunk) to
+      // the band before any candidate pointer into it is taken.
       band.clear();
       size_t fetches = 0;
       for (auto it = lo; it != leaf.end() && it->key <= key_q + radius;

@@ -50,15 +50,6 @@ struct StrgIndexParams {
   /// index order. Queries never borrow this pool implicitly.
   ThreadPool* pool = nullptr;
 
-  /// Query-path kernel selector. true (default) runs the flat bounded EGED
-  /// kernel (lower-bound cascade + early abandoning, eged_fast.h) on
-  /// Knn/RangeSearch; false runs the reference heap-allocating DP — kept as
-  /// an A/B knob so tests and bench_distance can pin the fast path to the
-  /// reference results and measure the speedup. Both return identical hits
-  /// and distances; build paths always use the (numerically identical) flat
-  /// exact kernel.
-  bool use_fast_kernel = true;
-
   /// Out-of-core leaf backing (not owned; nullptr = everything in RAM, the
   /// pre-pager behavior). When set, each leaf entry's OG sequence is
   /// serialized into this store at insert; what stays resident per entry is
@@ -293,8 +284,7 @@ class StrgIndex {
     return dist::FlatSequence(seq, params_.metric_gap);
   }
 
-  /// Build-path distance evaluations; both count into the global atomic.
-  double Metric(const dist::Sequence& a, const dist::Sequence& b) const;
+  /// Exact build-path distance evaluation; counts into the global atomic.
   double MetricFlat(const dist::FlatSequence& a,
                     const dist::FlatSequence& b) const;
   /// Bounded build-path evaluation (exact when the result is <= tau); only
@@ -302,7 +292,8 @@ class StrgIndex {
   double MetricFlatBounded(const dist::FlatSequence& a,
                            const dist::FlatSequence& b, double tau) const;
 
-  /// Query-path evaluations: count into ctx, honor use_fast_kernel.
+  /// Query-path evaluations: the bounded flat kernel (lower-bound cascade,
+  /// then an early-abandoning DP), counting into ctx.
   double SearchMetricLeaf(SearchCtx* ctx, const LeafEntry& entry,
                           double tau) const;
   double SearchMetricCentroid(SearchCtx* ctx, const ClusterRecord& cluster,

@@ -94,12 +94,7 @@ void SegmentFrameInto(const video::Frame& input, const SegmenterParams& params,
                       SegmenterWorkspace* ws, Segmentation* out) {
   const video::Frame* frame = &input;
   if (params.use_mean_shift) {
-    if (params.use_reference_kernel) {
-      ws->filtered = MeanShiftReference(input, params.mean_shift);
-    } else {
-      MeanShiftFilter(input, params.mean_shift, &ws->mean_shift,
-                      &ws->filtered);
-    }
+    MeanShiftFilter(input, params.mean_shift, &ws->mean_shift, &ws->filtered);
     frame = &ws->filtered;
   }
   const int w = frame->width(), h = frame->height();

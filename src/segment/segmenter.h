@@ -16,12 +16,6 @@ struct SegmenterParams {
   bool use_mean_shift = true;
   MeanShiftParams mean_shift;
 
-  /// A/B knob for benchmarks: filter with the naive MeanShiftReference
-  /// instead of the optimized kernel. Both produce bit-identical frames
-  /// (tested), so this only changes speed — it exists so bench_ingest can
-  /// measure the seed path without resurrecting old code.
-  bool use_reference_kernel = false;
-
   /// Max color distance between 4-neighbors inside one region.
   double color_tolerance = 20.0;
 

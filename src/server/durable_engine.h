@@ -123,12 +123,14 @@ class DurableQueryEngine {
   // ---- Readers (delegate to the serving engine). ----
 
   /// Async submit/complete surface, same contract as QueryEngine::Submit.
-  QueryHandle Submit(const api::QuerySpec& spec, const QueryOptions& opts = {},
+  QueryHandle Submit(const api::QuerySpec& spec,
+                     const api::SubmitOptions& opts = {},
                      CompletionFn on_complete = nullptr) {
     return engine_.Submit(spec, opts, std::move(on_complete));
   }
 
-  QueryResult Query(const api::QuerySpec& spec, const QueryOptions& opts = {}) {
+  QueryResult Query(const api::QuerySpec& spec,
+                    const api::SubmitOptions& opts = {}) {
     return engine_.Query(spec, opts);
   }
 

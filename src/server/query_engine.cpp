@@ -245,7 +245,7 @@ void QueryEngine::RunTask(const std::shared_ptr<RequestState>& state,
 }
 
 QueryHandle QueryEngine::Submit(const api::QuerySpec& spec,
-                                const QueryOptions& opts,
+                                const api::SubmitOptions& opts,
                                 CompletionFn on_complete) {
   const auto start = Clock::now();
   // One digest computation at the API edge serves cache keying for every

@@ -48,11 +48,6 @@ struct EngineOptions {
   AsyncRuntime* runtime = nullptr;
 };
 
-/// Per-request options. The historical server-local spelling is now an
-/// alias of the api-wide submit vocabulary so QueryEngine,
-/// ShardedQueryEngine, and api::VideoDatabase all take the same struct.
-using QueryOptions = api::SubmitOptions;
-
 struct QueryResult {
   StatusCode status = StatusCode::kOk;
   std::vector<api::VideoDatabase::QueryHit> hits;
@@ -253,29 +248,14 @@ class QueryEngine {
   /// before Submit returns (the callback then runs on the calling thread).
   /// opts.shard_hint is accepted for vocabulary uniformity and ignored —
   /// one engine is one shard.
-  QueryHandle Submit(const api::QuerySpec& spec, const QueryOptions& opts = {},
+  QueryHandle Submit(const api::QuerySpec& spec,
+                     const api::SubmitOptions& opts = {},
                      CompletionFn on_complete = nullptr);
 
-  /// Blocking spelling: Submit + Wait. Kept as the convenient synchronous
-  /// API; every pre-redesign caller goes through here unchanged.
-  QueryResult Query(const api::QuerySpec& spec, const QueryOptions& opts = {}) {
+  /// Blocking spelling: Submit + Wait.
+  QueryResult Query(const api::QuerySpec& spec,
+                    const api::SubmitOptions& opts = {}) {
     return Submit(spec, opts).Wait();
-  }
-
-  // Legacy spellings — one-line wrappers over Query(QuerySpec), kept for
-  // source compatibility and slated for eventual removal.
-  QueryResult FindSimilar(const dist::Sequence& query, size_t k,
-                          const QueryOptions& opts = {}) {
-    return Query(api::QuerySpec::Similar(query, k), opts);
-  }
-  QueryResult FindWithinRadius(const dist::Sequence& query, double radius,
-                               const QueryOptions& opts = {}) {
-    return Query(api::QuerySpec::WithinRadius(query, radius), opts);
-  }
-  QueryResult FindActive(const std::string& video, int first_frame,
-                         int last_frame, const QueryOptions& opts = {}) {
-    return Query(api::QuerySpec::Active(video, first_frame, last_frame),
-                 opts);
   }
 
   // ---- Introspection. ----

@@ -153,7 +153,7 @@ uint64_t ShardedQueryEngine::AddObjectGraph(
 }
 
 QueryHandle ShardedQueryEngine::Submit(const api::QuerySpec& spec,
-                                       const QueryOptions& opts,
+                                       const api::SubmitOptions& opts,
                                        CompletionFn on_complete) {
   const auto start = Clock::now();
   const uint64_t digest = spec.Digest();

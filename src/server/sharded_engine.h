@@ -101,10 +101,12 @@ class ShardedQueryEngine {
   /// opts.shard_hint when set — the hint restricts the scatter, so the
   /// answer covers only that shard). Same handle/callback contract as
   /// QueryEngine::Submit.
-  QueryHandle Submit(const api::QuerySpec& spec, const QueryOptions& opts = {},
+  QueryHandle Submit(const api::QuerySpec& spec,
+                     const api::SubmitOptions& opts = {},
                      CompletionFn on_complete = nullptr);
 
-  QueryResult Query(const api::QuerySpec& spec, const QueryOptions& opts = {}) {
+  QueryResult Query(const api::QuerySpec& spec,
+                    const api::SubmitOptions& opts = {}) {
     return Submit(spec, opts).Wait();
   }
 

@@ -1,6 +1,7 @@
 // ctest-labels: distance
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -161,8 +162,8 @@ TEST(DistanceKernel, FlatSequenceExposesTheDpsGapAccumulation) {
 }
 
 // ---------------------------------------------------------------------------
-// Index integration: the fast query path returns exactly what the reference
-// kernel path returns, and the parallel build is deterministic.
+// Index integration: the query path returns exactly what a brute-force
+// scan returns, and the parallel build is deterministic.
 // ---------------------------------------------------------------------------
 
 struct Workload {
@@ -192,46 +193,68 @@ index::StrgIndexParams BaseParams() {
   return params;
 }
 
-TEST(DistanceKernel, FastAndReferenceQueryPathsAgreeBitForBit) {
-  Workload w = MakeWorkload();
-  index::StrgIndexParams fast_params = BaseParams();
-  fast_params.use_fast_kernel = true;
-  index::StrgIndexParams ref_params = BaseParams();
-  ref_params.use_fast_kernel = false;
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
 
-  index::StrgIndex fast_idx(fast_params);
-  index::StrgIndex ref_idx(ref_params);
-  // Two segments so the multi-root scan (worst-of-k carried across roots)
-  // is exercised too.
+TEST(DistanceKernel, QueryPathsMatchBruteForceScanBitForBit) {
+  // The oracle is a linear scan with the seed DP (EgedMetric) over every
+  // indexed OG, so it checks the tree's pruning as well as the kernel.
+  // Two segments, the second's ids after the first's, so the multi-root
+  // scan (worst-of-k carried across roots) is exercised too.
+  Workload w = MakeWorkload();
   Workload w2 = MakeWorkload(91);
-  fast_idx.AddSegment(core::BackgroundGraph{}, w.db);
-  fast_idx.AddSegment(core::BackgroundGraph{}, w2.db);
-  ref_idx.AddSegment(core::BackgroundGraph{}, w.db);
-  ref_idx.AddSegment(core::BackgroundGraph{}, w2.db);
+  index::StrgIndexParams params = BaseParams();
+  index::StrgIndex idx(params);
+  idx.AddSegment(core::BackgroundGraph{}, w.db);
+  std::vector<size_t> ids2(w2.db.size());
+  for (size_t i = 0; i < ids2.size(); ++i) ids2[i] = w.db.size() + i;
+  idx.AddSegment(core::BackgroundGraph{}, w2.db, ids2);
+  std::vector<Sequence> all = w.db;
+  all.insert(all.end(), w2.db.begin(), w2.db.end());
+  ASSERT_EQ(idx.NumIndexedOgs(), all.size());
+
+  // A hit is right when its distance is bit-equal, rank by rank, to the
+  // scan's and to EgedMetric of the OG its id names; an OG tied at the cut
+  // may stand in for any other of its tie run.
+  auto expect_matches_scan = [&](const Sequence& q,
+                                 const std::vector<index::KnnHit>& hits,
+                                 const std::vector<double>& scan) {
+    ASSERT_LE(hits.size(), scan.size());
+    std::vector<bool> seen(all.size(), false);
+    for (size_t i = 0; i < hits.size(); ++i) {
+      const index::KnnHit& h = hits[i];
+      ASSERT_LT(h.og_id, all.size());
+      EXPECT_FALSE(seen[h.og_id]) << "OG " << h.og_id << " reported twice";
+      seen[h.og_id] = true;
+      EXPECT_EQ(Bits(h.distance), Bits(scan[i])) << "rank " << i;
+      EXPECT_EQ(Bits(h.distance),
+                Bits(EgedMetric(q, all[h.og_id], params.metric_gap)))
+          << "rank " << i << " names OG " << h.og_id;
+    }
+  };
 
   for (const Sequence& q : w.queries) {
-    auto fast = fast_idx.Knn(q, 5);
-    auto ref = ref_idx.Knn(q, 5);
-    ASSERT_EQ(fast.hits.size(), ref.hits.size());
-    for (size_t i = 0; i < fast.hits.size(); ++i) {
-      EXPECT_EQ(fast.hits[i].og_id, ref.hits[i].og_id);
-      EXPECT_DOUBLE_EQ(fast.hits[i].distance, ref.hits[i].distance);
+    std::vector<double> scan(all.size());
+    for (size_t i = 0; i < all.size(); ++i) {
+      scan[i] = EgedMetric(q, all[i], params.metric_gap);
     }
-    // The fast path must do no more DP work than the reference path, and
-    // the sweep as a whole must show the cascade firing.
-    EXPECT_LE(fast.distance_computations, ref.distance_computations);
-    EXPECT_EQ(ref.lb_prunes, 0u);
-    EXPECT_EQ(ref.early_abandons, 0u);
+    std::sort(scan.begin(), scan.end());
 
-    double radius = ref.hits.empty() ? 1.0 : ref.hits.back().distance;
-    auto fast_range = fast_idx.RangeSearch(q, radius);
-    auto ref_range = ref_idx.RangeSearch(q, radius);
-    ASSERT_EQ(fast_range.hits.size(), ref_range.hits.size());
-    for (size_t i = 0; i < fast_range.hits.size(); ++i) {
-      EXPECT_EQ(fast_range.hits[i].og_id, ref_range.hits[i].og_id);
-      EXPECT_DOUBLE_EQ(fast_range.hits[i].distance,
-                       ref_range.hits[i].distance);
-    }
+    auto knn = idx.Knn(q, 5);
+    ASSERT_EQ(knn.hits.size(), 5u);
+    expect_matches_scan(q, knn.hits, scan);
+    // The search prunes: it runs fewer DPs than the scan.
+    EXPECT_LT(knn.distance_computations, all.size());
+
+    const double radius = scan[4];
+    auto range = idx.RangeSearch(q, radius);
+    const size_t within = static_cast<size_t>(
+        std::upper_bound(scan.begin(), scan.end(), radius) - scan.begin());
+    EXPECT_EQ(range.hits.size(), within);
+    expect_matches_scan(q, range.hits, scan);
   }
 }
 
@@ -241,9 +264,7 @@ TEST(DistanceKernel, QueryResultsAreBitwiseInvariantUnderForcedScalarTier) {
   // every pruning counter exactly (the cascade routes identically).
   namespace simd = dist::simd;
   Workload w = MakeWorkload();
-  index::StrgIndexParams params = BaseParams();
-  params.use_fast_kernel = true;
-  index::StrgIndex idx(params);
+  index::StrgIndex idx(BaseParams());
   idx.AddSegment(core::BackgroundGraph{}, w.db);
 
   const simd::Tier saved = simd::ActiveTier();
@@ -260,10 +281,8 @@ TEST(DistanceKernel, QueryResultsAreBitwiseInvariantUnderForcedScalarTier) {
     ASSERT_EQ(best.hits.size(), ref.hits.size());
     for (size_t i = 0; i < best.hits.size(); ++i) {
       EXPECT_EQ(best.hits[i].og_id, ref.hits[i].og_id);
-      uint64_t xb = 0, yb = 0;
-      std::memcpy(&xb, &best.hits[i].distance, sizeof(xb));
-      std::memcpy(&yb, &ref.hits[i].distance, sizeof(yb));
-      EXPECT_EQ(xb, yb) << "kNN distance drifted across tiers";
+      EXPECT_EQ(Bits(best.hits[i].distance), Bits(ref.hits[i].distance))
+          << "kNN distance drifted across tiers";
     }
     EXPECT_EQ(best.distance_computations, ref.distance_computations);
     EXPECT_EQ(best.lb_prunes, ref.lb_prunes);

@@ -229,14 +229,18 @@ TEST(SegmenterWorkspace, ReusedWorkspaceMatchesFreshAcrossFrames) {
   }
 }
 
-TEST(SegmenterWorkspace, ReferenceKernelKnobIsBitIdentical) {
+TEST(SegmenterWorkspace, ReferenceFilteredFrameSegmentsIdentically) {
+  // Segmenting a frame equals labeling the frame MeanShiftReference
+  // filtered, with the segmenter's own filter off.
   std::mt19937 rng(3);
   Frame f = TiledNoiseFrame(&rng, 40, 30, 2.0);
   segment::SegmenterParams opt;
-  segment::SegmenterParams ref = opt;
-  ref.use_reference_kernel = true;
-  ExpectSegmentationEqual(segment::SegmentFrame(f, opt),
-                          segment::SegmentFrame(f, ref));
+  segment::SegmenterParams unfiltered = opt;
+  unfiltered.use_mean_shift = false;
+  ExpectSegmentationEqual(
+      segment::SegmentFrame(f, opt),
+      segment::SegmentFrame(segment::MeanShiftReference(f, opt.mean_shift),
+                            unfiltered));
 }
 
 // ---- ordered stage -------------------------------------------------------

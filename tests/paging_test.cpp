@@ -547,10 +547,10 @@ TEST(PagedIndex, QueriesBitIdenticalToInRamAcrossCacheSizes) {
   ASSERT_GE(ram.NumObjectGraphs(), 3u);
   const core::Og& probe = segment.decomposition.object_graphs[0];
   dist::Sequence probe_seq = dist::OgToSequence(probe, segment.Scaling());
-  auto want_knn = ram.FindSimilar(probe, 5, segment.Scaling());
+  auto want_knn = ram.Query(api::QuerySpec::Similar(probe_seq, 5));
   ASSERT_FALSE(want_knn.empty());
   double radius = want_knn.back().distance + 1e-6;
-  auto want_range = ram.FindWithinRadius(probe_seq, radius);
+  auto want_range = ram.Query(api::QuerySpec::WithinRadius(probe_seq, radius));
   ASSERT_FALSE(want_range.empty());
 
   struct Budget {
@@ -577,8 +577,11 @@ TEST(PagedIndex, QueriesBitIdenticalToInRamAcrossCacheSizes) {
     api::VideoDatabase paged(paged_params);
     paged.AddVideo("lab", segment);
 
-    ExpectSameHits(want_knn, paged.FindSimilar(probe, 5, segment.Scaling()));
-    ExpectSameHits(want_range, paged.FindWithinRadius(probe_seq, radius));
+    ExpectSameHits(want_knn,
+                   paged.Query(api::QuerySpec::Similar(probe_seq, 5)));
+    ExpectSameHits(
+        want_range,
+        paged.Query(api::QuerySpec::WithinRadius(probe_seq, radius)));
     // The paged path actually ran through the cache.
     BufferCacheStats cs = store->cache_stats();
     EXPECT_GT(cs.hits + cs.misses, 0u);
@@ -606,7 +609,9 @@ TEST(PagedIndex, TinyCacheStaysWithinResidentBudget) {
   EXPECT_GT(store->file().num_pages() * 256, params.cache_bytes);
   EXPECT_EQ(store->cache()->resident_bytes(), 2 * 256u);
   const core::Og& probe = segment.decomposition.object_graphs[0];
-  EXPECT_FALSE(db.FindSimilar(probe, 3, segment.Scaling()).empty());
+  EXPECT_FALSE(db.Query(api::QuerySpec::Similar(
+                            dist::OgToSequence(probe, segment.Scaling()), 3))
+                   .empty());
   EXPECT_GT(store->cache_stats().evictions, 0u);
   std::remove(path.c_str());
 }

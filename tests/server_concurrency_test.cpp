@@ -102,18 +102,18 @@ TEST(ServerConcurrency, WritersAndReadersSeeConsistentGenerations) {
       uint64_t last_gen = 0;
       for (size_t i = 0; i < kQueriesPerReader; ++i) {
         const dist::Sequence& q = fx.queries[(r * 13 + i) % fx.queries.size()];
-        QueryOptions qo;
+        api::SubmitOptions qo;
         qo.use_cache = (r % 2 == 0);  // exercise both paths concurrently
         QueryResult res;
         switch (i % 3) {
           case 0:
-            res = engine.FindSimilar(q, 100000, qo);
+            res = engine.Query(api::QuerySpec::Similar(q, 100000), qo);
             break;
           case 1:
-            res = engine.FindWithinRadius(q, 1e12, qo);
+            res = engine.Query(api::QuerySpec::WithinRadius(q, 1e12), qo);
             break;
           default:
-            res = engine.FindActive("lab", 0, 1 << 30, qo);
+            res = engine.Query(api::QuerySpec::Active("lab", 0, 1 << 30), qo);
             break;
         }
         if (res.status != StatusCode::kOk) {
@@ -136,7 +136,8 @@ TEST(ServerConcurrency, WritersAndReadersSeeConsistentGenerations) {
 
   const size_t total = kBase + kWriters * kOgsPerWriter;
   EXPECT_EQ(engine.Generation(), 1 + kWriters * kOgsPerWriter);
-  QueryResult fin = engine.FindSimilar(fx.queries[0], 100000);
+  QueryResult fin =
+      engine.Query(api::QuerySpec::Similar(fx.queries[0], 100000));
   ASSERT_EQ(fin.status, StatusCode::kOk);
   EXPECT_EQ(fin.hits.size(), total);
   EXPECT_EQ(engine.snapshot()->db.NumObjectGraphs(), total);
@@ -167,8 +168,8 @@ TEST(ServerConcurrency, SnapshotsAreImmutableWhileIngestContinues) {
     const size_t count = snap->db.NumObjectGraphs();
     EXPECT_EQ(count, ExpectedOgs(kBase, snap->generation));
     const dist::Sequence& q = fx.queries[round % fx.queries.size()];
-    auto first = snap->db.FindSimilar(q, 5);
-    auto second = snap->db.FindSimilar(q, 5);
+    auto first = snap->db.Query(api::QuerySpec::Similar(q, 5));
+    auto second = snap->db.Query(api::QuerySpec::Similar(q, 5));
     ASSERT_EQ(first.size(), second.size());
     for (size_t i = 0; i < first.size(); ++i) {
       EXPECT_EQ(first[i].og_id, second[i].og_id);
@@ -187,11 +188,11 @@ TEST(ServerConcurrency, CacheServesRepeatsAndGenerationBumpInvalidates) {
   engine.AddVideo("lab", fx.segment, &segment_id);
 
   const dist::Sequence& q = fx.queries[2];
-  QueryResult cold = engine.FindSimilar(q, 4);
+  QueryResult cold = engine.Query(api::QuerySpec::Similar(q, 4));
   ASSERT_EQ(cold.status, StatusCode::kOk);
   EXPECT_FALSE(cold.from_cache);
 
-  QueryResult warm = engine.FindSimilar(q, 4);
+  QueryResult warm = engine.Query(api::QuerySpec::Similar(q, 4));
   ASSERT_EQ(warm.status, StatusCode::kOk);
   EXPECT_TRUE(warm.from_cache);
   EXPECT_EQ(warm.generation, cold.generation);
@@ -205,7 +206,7 @@ TEST(ServerConcurrency, CacheServesRepeatsAndGenerationBumpInvalidates) {
   // miss again and reflects the new OG.
   engine.AddObjectGraph(segment_id, "lab", fx.stream[0],
                         synth::SynthScaling());
-  QueryResult after = engine.FindSimilar(q, 4);
+  QueryResult after = engine.Query(api::QuerySpec::Similar(q, 4));
   ASSERT_EQ(after.status, StatusCode::kOk);
   EXPECT_FALSE(after.from_cache);
   EXPECT_EQ(after.generation, cold.generation + 1);
@@ -218,7 +219,7 @@ TEST(ServerConcurrency, ZeroAdmissionBudgetRejectsWithOverloaded) {
   QueryEngine engine(FastIndex(), opts);
   engine.AddVideo("lab", fx.segment);
 
-  QueryResult res = engine.FindSimilar(fx.queries[0], 3);
+  QueryResult res = engine.Query(api::QuerySpec::Similar(fx.queries[0], 3));
   EXPECT_EQ(res.status, StatusCode::kOverloaded);
   EXPECT_TRUE(res.hits.empty());
   EXPECT_EQ(res.generation, 0u);
@@ -231,16 +232,16 @@ TEST(ServerConcurrency, ExpiredDeadlineYieldsDeadlineExceeded) {
   QueryEngine engine(FastIndex());
   engine.AddVideo("lab", fx.segment);
 
-  QueryOptions qo;
+  api::SubmitOptions qo;
   qo.timeout = std::chrono::microseconds(-1);  // expired on arrival
-  QueryResult res = engine.FindSimilar(fx.queries[1], 3, qo);
+  QueryResult res = engine.Query(api::QuerySpec::Similar(fx.queries[1], 3), qo);
   EXPECT_EQ(res.status, StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(res.hits.empty());
   const auto& m = engine.metrics();
   EXPECT_GE(m.deadline_exceeded.load() + m.expired_in_queue.load(), 1u);
 
   // The engine keeps serving normally afterwards.
-  QueryResult ok = engine.FindSimilar(fx.queries[1], 3);
+  QueryResult ok = engine.Query(api::QuerySpec::Similar(fx.queries[1], 3));
   EXPECT_EQ(ok.status, StatusCode::kOk);
   EXPECT_EQ(ok.hits.size(), 3u);
 }
@@ -249,10 +250,10 @@ TEST(ServerConcurrency, MetricsJsonReportsServingState) {
   Fixture fx = MakeFixture(8, 13);
   QueryEngine engine(FastIndex());
   engine.AddVideo("lab", fx.segment);
-  engine.FindSimilar(fx.queries[0], 2);
-  engine.FindSimilar(fx.queries[0], 2);  // cache hit
-  engine.FindWithinRadius(fx.queries[1], 1.0);
-  engine.FindActive("lab", 0, 100);
+  engine.Query(api::QuerySpec::Similar(fx.queries[0], 2));
+  engine.Query(api::QuerySpec::Similar(fx.queries[0], 2));  // cache hit
+  engine.Query(api::QuerySpec::WithinRadius(fx.queries[1], 1.0));
+  engine.Query(api::QuerySpec::Active("lab", 0, 100));
 
   std::string json = engine.MetricsJson();
   EXPECT_NE(json.find("\"generation\":1"), std::string::npos) << json;

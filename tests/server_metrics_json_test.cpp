@@ -185,7 +185,7 @@ TEST(ServerMetricsJson, ShardedEngineScrapeIsValidAndCountsLegs) {
   engine.AddVideo("clip", segment);
 
   std::vector<dist::Sequence> queries = ds.Sequences(synth::SynthScaling());
-  QueryOptions opts;
+  api::SubmitOptions opts;
   opts.use_cache = false;
   for (size_t q = 0; q < 4; ++q) {
     ASSERT_EQ(engine.Query(api::QuerySpec::Similar(queries[q], 3), opts)

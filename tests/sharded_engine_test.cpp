@@ -196,7 +196,7 @@ TEST(ShardedEngine, TauPruningFiresAndStaysExact) {
 
   for (size_t q = 0; q < fx.queries.size(); ++q) {
     api::QuerySpec knn = api::QuerySpec::Similar(fx.queries[q], 3);
-    QueryOptions opts;
+    api::SubmitOptions opts;
     opts.use_cache = false;  // force every leg to execute
     ExpectSameHits(baseline.Query(knn).hits, sharded.Query(knn, opts).hits);
   }
@@ -322,7 +322,7 @@ TEST(ShardedEngine, DeepLockChainStressWithLiveWriter) {
     for (size_t c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
         for (size_t i = 0; i < kPerClient; ++i) {
-          QueryOptions opts;
+          api::SubmitOptions opts;
           opts.use_cache = (i % 2 == 0);  // exercise kResultCache too
           api::QuerySpec spec = api::QuerySpec::Similar(
               fx.queries[(c * kPerClient + i) % fx.queries.size()], 4);
@@ -367,7 +367,7 @@ TEST(ShardedEngine, ShardHintRestrictsScatter) {
   ShardedQueryEngine sharded(FastIndex(), so);
   FeedAll(sharded, fx);
 
-  QueryOptions opts;
+  api::SubmitOptions opts;
   opts.use_cache = false;
   opts.shard_hint = 2;
   QueryResult r = sharded.Query(api::QuerySpec::Similar(fx.queries[0], 5),
@@ -437,7 +437,7 @@ TEST(ShardedEngine, CancellationAndDeadlineRaceIsClean) {
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (size_t i = 0; i < kPerClient; ++i) {
-        QueryOptions opts;
+        api::SubmitOptions opts;
         opts.use_cache = false;
         // Mix pre-expired, tight, and comfortable deadlines.
         switch (i % 3) {

@@ -194,9 +194,10 @@ TEST(Persistence, DatabaseSurvivesSaveAndRestore) {
 
   // Same query must return the same answer set (index rebuild is
   // deterministic for fixed parameters).
-  const core::Og& probe = segment.decomposition.object_graphs[0];
-  auto a = original.FindSimilar(probe, 3, segment.Scaling());
-  auto b = restored.FindSimilar(probe, 3, segment.Scaling());
+  const dist::Sequence probe = dist::OgToSequence(
+      segment.decomposition.object_graphs[0], segment.Scaling());
+  auto a = original.Query(api::QuerySpec::Similar(probe, 3));
+  auto b = restored.Query(api::QuerySpec::Similar(probe, 3));
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].og_id, b[i].og_id);
