@@ -188,8 +188,6 @@ PhaseResult RunClosedLoop(const std::string& name, Engine* engine,
   for (size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       std::mt19937 rng(2000 + 31 * c);
-      api::SubmitOptions qo;
-      qo.use_cache = false;  // measure scatter work, not cache hits
       lat[c].reserve(per_client);
       for (size_t i = 0; i < per_client; ++i) {
         Request r = PickRequest(&rng, w);
@@ -198,7 +196,7 @@ PhaseResult RunClosedLoop(const std::string& name, Engine* engine,
           engine->AddObjectGraph(segment_ids[r.video], w.names[r.video],
                                  w.stream[r.query], synth::SynthScaling());
         } else {
-          server::QueryResult qr = engine->Query(SpecFor(r, w), qo);
+          server::QueryResult qr = engine->Query(SpecFor(r, w));
           if (qr.status != server::StatusCode::kOk) {
             errors.fetch_add(1, std::memory_order_relaxed);
           }
@@ -252,8 +250,6 @@ OverloadResult RunOpenLoopOverload(server::ShardedQueryEngine* engine,
   std::atomic<size_t> ok{0}, shed{0}, other{0}, done{0};
 
   std::mt19937 rng(777);
-  api::SubmitOptions qo;
-  qo.use_cache = false;
   const auto interval = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(1.0 / offered_qps));
   auto next = Clock::now();
@@ -266,7 +262,7 @@ OverloadResult RunOpenLoopOverload(server::ShardedQueryEngine* engine,
       r.query %= w.queries.size();  // was drawn from the ingest stream
     }
     t0[i] = Clock::now();
-    engine->Submit(SpecFor(r, w), qo,
+    engine->Submit(SpecFor(r, w), {},
                    [&, i](const server::QueryResult& qr) {
                      if (qr.status == server::StatusCode::kOk) {
                        ok_lat[i] = std::chrono::duration<double, std::micro>(
@@ -330,19 +326,17 @@ bool CheckEquivalence(const Workload& w, size_t num_shards) {
   FeedBase(&single, w);
   FeedBase(&sharded, w);
 
-  api::SubmitOptions qo;
-  qo.use_cache = false;
   for (const auto& q : w.queries) {
-    auto a = single.Query(api::QuerySpec::Similar(q, kKnnK), qo);
-    auto b = sharded.Query(api::QuerySpec::Similar(q, kKnnK), qo);
+    auto a = single.Query(api::QuerySpec::Similar(q, kKnnK));
+    auto b = sharded.Query(api::QuerySpec::Similar(q, kKnnK));
     if (!SameHits(a.hits, b.hits)) return false;
-    a = single.Query(api::QuerySpec::WithinRadius(q, kRangeRadius), qo);
-    b = sharded.Query(api::QuerySpec::WithinRadius(q, kRangeRadius), qo);
+    a = single.Query(api::QuerySpec::WithinRadius(q, kRangeRadius));
+    b = sharded.Query(api::QuerySpec::WithinRadius(q, kRangeRadius));
     if (!SameHits(a.hits, b.hits)) return false;
   }
   for (const auto& name : w.names) {
-    auto a = single.Query(api::QuerySpec::Active(name, 0, 1 << 20), qo);
-    auto b = sharded.Query(api::QuerySpec::Active(name, 0, 1 << 20), qo);
+    auto a = single.Query(api::QuerySpec::Active(name, 0, 1 << 20));
+    auto b = sharded.Query(api::QuerySpec::Active(name, 0, 1 << 20));
     if (!SameHits(a.hits, b.hits)) return false;
   }
   return true;

@@ -1,20 +1,20 @@
 // Load driver for the serving layer (src/server): replays a mixed
 // query/ingest workload against the QueryEngine at configurable driver
-// thread counts and reports QPS, latency percentiles, and cache hit rate
-// as JSON (stdout + BENCH_server.json).
+// thread counts and reports QPS and kNN latency percentiles as JSON
+// (stdout + BENCH_server.json).
 //
 // Phases (each on a freshly built engine so metrics are per-phase):
-//   serial_direct      — 1 thread, raw api::VideoDatabase replay: no server,
-//                        no cache. The single-threaded baseline.
-//   server_1thread     — 1 driver through the QueryEngine, cache on.
-//   server_multithread — STRG_BENCH_THREADS drivers (default 8), cache on.
-//   server_multithread_nocache — same drivers, cache off (honesty check:
-//                        isolates what the cache vs. concurrency buys).
+//   serial_direct      — 1 thread, raw api::VideoDatabase replay: no
+//                        server. The single-threaded baseline.
+//   server_1thread     — 1 driver through the QueryEngine.
+//   server_multithread — STRG_BENCH_THREADS drivers (default 4).
 //
 // Workload: zipf-ish repetition (90% of queries from a hot set of 8, rest
-// uniform over a 64-query pool), 90% kNN / 5% range / 5% temporal-window,
-// and 1% ingest ops interleaved (each publishing a new index generation,
-// which re-keys the result cache). All phases replay the identical mix so
+// uniform over a 64-query pool); 90% kNN / 5% range / 4% temporal-window
+// and 1% ingest ops interleaved, each publishing a new index generation.
+// The engine runs every request, so a repeated probe costs what a fresh
+// one does, and multi-driver QPS over serial measures what concurrency
+// buys on the host that runs it. All phases replay the identical mix so
 // the QPS comparison is apples-to-apples.
 
 #include <algorithm>
@@ -98,8 +98,7 @@ Request PickRequest(std::mt19937* rng, const Workload& w, bool allow_ingest) {
   } else {
     r.kind = Request::kActive;
   }
-  // 90% of queries come from a hot set of 8 -> repeated requests that a
-  // result cache can serve.
+  // 90% of queries come from a hot set of 8 probes.
   if (pct(*rng) < 90) {
     r.query = std::uniform_int_distribution<size_t>(0, 7)(*rng);
   } else {
@@ -118,7 +117,6 @@ struct PhaseResult {
   size_t requests = 0;
   double seconds = 0.0;
   double qps = 0.0;
-  double hit_rate = 0.0;
   double knn_p50_us = 0.0;
   double knn_p95_us = 0.0;
   double knn_p99_us = 0.0;
@@ -166,7 +164,7 @@ PhaseResult RunSerialDirect(const Workload& w, size_t requests) {
 }
 
 PhaseResult RunServerPhase(const std::string& name, const Workload& w,
-                           size_t drivers, size_t requests, bool use_cache) {
+                           size_t drivers, size_t requests) {
   server::EngineOptions opts;
   opts.num_threads =
       std::max<size_t>(2, std::thread::hardware_concurrency());
@@ -182,23 +180,20 @@ PhaseResult RunServerPhase(const std::string& name, const Workload& w,
   for (size_t t = 0; t < drivers; ++t) {
     threads.emplace_back([&, t] {
       std::mt19937 rng(1000 + 17 * t);
-      api::SubmitOptions qo;
-      qo.use_cache = use_cache;
       for (size_t i = 0; i < per_driver; ++i) {
         Request r = PickRequest(&rng, w, /*allow_ingest=*/true);
         server::QueryResult qr;
         switch (r.kind) {
           case Request::kKnn:
             qr = engine.Query(
-                api::QuerySpec::Similar(w.queries[r.query], kKnnK), qo);
+                api::QuerySpec::Similar(w.queries[r.query], kKnnK));
             break;
           case Request::kRange:
-            qr = engine.Query(
-                api::QuerySpec::WithinRadius(w.queries[r.query], kRangeRadius),
-                qo);
+            qr = engine.Query(api::QuerySpec::WithinRadius(
+                w.queries[r.query], kRangeRadius));
             break;
           case Request::kActive:
-            qr = engine.Query(api::QuerySpec::Active("lab1", 0, 1 << 20), qo);
+            qr = engine.Query(api::QuerySpec::Active("lab1", 0, 1 << 20));
             break;
           case Request::kIngest:
             engine.AddObjectGraph(segment_id, "lab1", w.stream[r.query],
@@ -221,7 +216,6 @@ PhaseResult RunServerPhase(const std::string& name, const Workload& w,
       std::chrono::duration<double>(Clock::now() - start).count();
   res.qps = static_cast<double>(res.requests) / res.seconds;
   const server::ServerMetrics& m = engine.metrics();
-  res.hit_rate = m.CacheHitRate();
   res.knn_p50_us = m.knn_latency.PercentileMicros(50.0);
   res.knn_p95_us = m.knn_latency.PercentileMicros(95.0);
   res.knn_p99_us = m.knn_latency.PercentileMicros(99.0);
@@ -233,12 +227,11 @@ void AppendPhaseJson(std::string* out, const PhaseResult& r) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "\"%s\":{\"threads\":%zu,\"requests\":%zu,"
-                "\"seconds\":%.4f,\"qps\":%.1f,\"cache_hit_rate\":%.4f,"
+                "\"seconds\":%.4f,\"qps\":%.1f,"
                 "\"knn_p50_us\":%.1f,\"knn_p95_us\":%.1f,"
                 "\"knn_p99_us\":%.1f,\"errors\":%zu}",
                 r.name.c_str(), r.threads, r.requests, r.seconds, r.qps,
-                r.hit_rate, r.knn_p50_us, r.knn_p95_us, r.knn_p99_us,
-                r.errors);
+                r.knn_p50_us, r.knn_p95_us, r.knn_p99_us, r.errors);
   out->append(buf);
 }
 
@@ -266,12 +259,9 @@ int main() {
             << drivers << "\n";
 
   PhaseResult serial = RunSerialDirect(w, serial_requests);
-  PhaseResult one =
-      RunServerPhase("server_1thread", w, 1, serial_requests, true);
+  PhaseResult one = RunServerPhase("server_1thread", w, 1, serial_requests);
   PhaseResult multi =
-      RunServerPhase("server_multithread", w, drivers, multi_requests, true);
-  PhaseResult nocache = RunServerPhase("server_multithread_nocache", w,
-                                       drivers, serial_requests, false);
+      RunServerPhase("server_multithread", w, drivers, multi_requests);
 
   const double speedup = multi.qps / serial.qps;
 
@@ -290,8 +280,6 @@ int main() {
   AppendPhaseJson(&json, one);
   json.push_back(',');
   AppendPhaseJson(&json, multi);
-  json.push_back(',');
-  AppendPhaseJson(&json, nocache);
   char buf[128];
   std::snprintf(buf, sizeof(buf),
                 ",\"speedup_multi_vs_serial\":%.2f}", speedup);
@@ -302,7 +290,6 @@ int main() {
   out << json << "\n";
   std::cout << "report written to BENCH_server.json\n"
             << "speedup (server_multithread vs serial_direct): " << speedup
-            << "x  [acceptance: >= 3x via result cache on repeated "
-               "queries]\n";
+            << "x\n";
   return 0;
 }

@@ -2,7 +2,7 @@
 #define STRG_API_QUERY_SPEC_H_
 
 #include <chrono>
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <utility>
 
@@ -13,21 +13,16 @@ namespace strg::api {
 /// Per-request options of the submit/complete query surface. One options
 /// vocabulary across the serving engines: QueryEngine, DurableQueryEngine
 /// and ShardedQueryEngine all take this struct, so a request keeps its
-/// deadline and routing hints as it crosses layers.
+/// deadline as it crosses layers.
 struct SubmitOptions {
   /// Per-request deadline measured from submission. 0 = none. Negative =
   /// already expired (deterministic deadline handling, used by tests).
   std::chrono::microseconds timeout{0};
-  /// Consult/fill the serving layer's result cache.
-  bool use_cache = true;
-  /// Restrict a scatter-gather query to one shard (>= 0); -1 = fan out to
-  /// every shard. Layers without shards ignore it.
-  int shard_hint = -1;
 };
 
 /// One value describing any retrieval request the system answers: a tagged
 /// kind plus the union of the kinds' parameters, so every layer — database
-/// dispatch, result-cache keying, metrics attribution — consumes the same
+/// dispatch, engine routing, metrics attribution — consumes the same
 /// object instead of re-encoding the request per call site.
 struct QuerySpec {
   enum class Kind {
@@ -70,11 +65,6 @@ struct QuerySpec {
     s.last_frame = last_frame;
     return s;
   }
-
-  /// Request digest for result-cache keying: FNV-1a over the kind seed and
-  /// the kind's live parameters only, so "kNN k=3" and "range r=3" over the
-  /// same probe never collide. Computed once per request, at the API edge.
-  uint64_t Digest() const;
 };
 
 }  // namespace strg::api

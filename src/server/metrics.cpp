@@ -94,13 +94,6 @@ void ServerMetrics::AddIngestPipeline(const api::IngestStats& s) {
   ingest_decompose_us.fetch_add(s.decompose_us, std::memory_order_relaxed);
 }
 
-double ServerMetrics::CacheHitRate() const {
-  uint64_t h = cache_hits.load(std::memory_order_relaxed);
-  uint64_t m = cache_misses.load(std::memory_order_relaxed);
-  if (h + m == 0) return 0.0;
-  return static_cast<double>(h) / static_cast<double>(h + m);
-}
-
 std::string ServerMetrics::ToJson(
     uint64_t generation, const std::vector<ShardScrape>& shards) const {
   std::string out;
@@ -146,14 +139,6 @@ std::string ServerMetrics::ToJson(
     out.append("\":");
     AppendCount(&out, status_counts[i].load(std::memory_order_relaxed));
   }
-  out.append("}");
-
-  out.append(",\"cache\":{\"hits\":");
-  AppendCount(&out, cache_hits.load(std::memory_order_relaxed));
-  out.append(",\"misses\":");
-  AppendCount(&out, cache_misses.load(std::memory_order_relaxed));
-  out.append(",\"hit_rate\":");
-  AppendNumber(&out, CacheHitRate());
   out.append("}");
 
   out.append(",\"ingest\":{\"count\":");

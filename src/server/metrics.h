@@ -69,7 +69,9 @@ class ServerMetrics {
   std::atomic<int64_t> queue_depth{0};          ///< admitted, not finished
   std::atomic<int64_t> max_queue_depth{0};
 
-  // Result cache.
+  // Always 0: the engines keep no result cache. Kept only because the
+  // end-to-end benchmark's adapter (bench/e2e/engine_adapter.h) scrapes
+  // them; they go when that adapter drops its cache counters.
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cache_misses{0};
 
@@ -94,11 +96,11 @@ class ServerMetrics {
   // of it being derivable only from bench output.
   std::array<std::atomic<uint64_t>, api::kNumStatusCodes> status_counts{};
 
-  // Distance-kernel work across all executed (non-cached) queries: DP
-  // evaluations actually run, candidates answered by the O(m+n) lower-bound
-  // cascade, and DPs truncated by early abandoning. Each query counts these
-  // locally (api::VideoDatabase::QueryStats) and the engine adds them here
-  // once per compute, so the aggregates are exact under concurrent load.
+  // Distance-kernel work across all executed queries: DP evaluations
+  // actually run, candidates answered by the O(m+n) lower-bound cascade,
+  // and DPs truncated by early abandoning. Each query counts these locally
+  // (api::VideoDatabase::QueryStats) and the engine adds them here once
+  // per compute, so the aggregates are exact under concurrent load.
   std::atomic<uint64_t> distance_computations{0};
   std::atomic<uint64_t> lb_prunes{0};
   std::atomic<uint64_t> early_abandons{0};
@@ -135,8 +137,6 @@ class ServerMetrics {
 
   /// Folds one ingest run's pipeline counters into the registry.
   void AddIngestPipeline(const api::IngestStats& s);
-
-  double CacheHitRate() const;
 
   /// One shard's point-in-time scrape for the "shards" array below. The
   /// sharded engine reads its per-shard relaxed counters into these plain

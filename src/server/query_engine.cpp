@@ -20,7 +20,8 @@ std::shared_ptr<const Snapshot> GenesisSnapshot(index::StrgIndexParams params) {
 
 }  // namespace
 
-bool RequestState::TryFinalize(QueryResult r) {
+bool RequestState::TryFinalize(
+    QueryResult r, std::atomic<uint64_t> ServerMetrics::*counter) {
   bool expected = false;
   // acq_rel: the winner's writes to `result` (under mu) must be visible to
   // a loser that observes finalized == true and then reads via WaitDone.
@@ -28,7 +29,12 @@ bool RequestState::TryFinalize(QueryResult r) {
                                          std::memory_order_acq_rel)) {
     return false;
   }
-  if (metrics != nullptr) metrics->NoteStatus(r.status);
+  if (metrics != nullptr) {
+    metrics->NoteStatus(r.status);
+    if (counter != nullptr) {
+      (metrics->*counter).fetch_add(1, std::memory_order_relaxed);
+    }
+  }
   // Callback strictly before waiters are released: when Wait()/Query()
   // returns, the completion callback has already run (callers can tear
   // down whatever the callback touches as soon as Wait returns).
@@ -84,16 +90,12 @@ QueryResult QueryHandle::Wait() {
   QueryResult expired;
   expired.status = StatusCode::kDeadlineExceeded;
   expired.latency_micros = MicrosSince(st.start);
-  if (st.TryFinalize(std::move(expired)) && st.metrics != nullptr) {
-    st.metrics->deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-  }
+  st.TryFinalize(std::move(expired), &ServerMetrics::deadline_exceeded);
   return st.WaitDone();
 }
 
 QueryEngine::QueryEngine(index::StrgIndexParams params, EngineOptions opts)
-    : opts_(opts),
-      cache_(opts.cache_capacity, opts.cache_shards),
-      head_(GenesisSnapshot(params)) {
+    : opts_(opts), head_(GenesisSnapshot(params)) {
   if (opts.runtime != nullptr) {
     runtime_ = opts.runtime;
   } else {
@@ -160,13 +162,11 @@ LatencyHistogram* QueryEngine::HistogramFor(api::QuerySpec::Kind kind) {
 }
 
 void QueryEngine::RunTask(const std::shared_ptr<RequestState>& state,
-                          const api::QuerySpec& spec, uint64_t digest,
-                          LatencyHistogram* histogram, bool use_cache) {
+                          const api::QuerySpec& spec,
+                          LatencyHistogram* histogram) {
   RequestState& st = *state;
 
-  // Cancelled while queued: skip the work. (A deadline-abandoned request,
-  // by contrast, still executes — it fills the cache for the retry, which
-  // is the pre-redesign behavior.)
+  // Cancelled while queued: skip the work.
   if (st.cancel_requested.load(std::memory_order_relaxed)) {
     metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
     QueryResult cancelled;
@@ -176,56 +176,42 @@ void QueryEngine::RunTask(const std::shared_ptr<RequestState>& state,
     return;
   }
 
-  // Expired while queued: release the slot without doing the work.
+  // Expired while queued: release the slot without doing the work. A
+  // waiter whose deadline passed may already have finalized (and counted)
+  // the outcome; TryFinalize counts it here only if this finalize wins.
   if (st.has_deadline && Clock::now() >= st.deadline) {
-    metrics_.expired_in_queue.fetch_add(1, std::memory_order_relaxed);
     metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
     QueryResult expired;
     expired.status = StatusCode::kDeadlineExceeded;
     expired.latency_micros = MicrosSince(st.start);
-    st.TryFinalize(std::move(expired));
+    st.TryFinalize(std::move(expired), &ServerMetrics::expired_in_queue);
     return;
   }
 
   QueryResult result;
   std::shared_ptr<const Snapshot> snap = head_.load();
-  CacheKey key{digest, snap->generation};
-  bool hit = use_cache && cache_.Get(key, &result.hits);
-  if (hit) {
-    // Another request filled it between the fast-path miss and now.
-    metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    try {
-      api::VideoDatabase::QueryStats stats;
-      result.hits = snap->db.Query(spec, &stats);
-      // Cache hits never reach this branch, so the aggregates count
-      // exactly the distance work actually performed.
-      metrics_.distance_computations.fetch_add(stats.distance_computations,
-                                               std::memory_order_relaxed);
-      metrics_.lb_prunes.fetch_add(stats.lb_prunes,
-                                   std::memory_order_relaxed);
-      metrics_.early_abandons.fetch_add(stats.early_abandons,
-                                        std::memory_order_relaxed);
-    } catch (const std::exception&) {
-      // Typed failure instead of an exception escaping a runtime worker
-      // (the paged store's query path throws on I/O errors). Part of the
-      // submit/complete contract: every request finalizes.
-      metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-      QueryResult failed;
-      failed.status = StatusCode::kIoError;
-      failed.latency_micros = MicrosSince(st.start);
-      st.TryFinalize(std::move(failed));
-      return;
-    }
-    if (use_cache) {
-      metrics_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-      cache_.Put(key, result.hits);
-    }
+  try {
+    api::VideoDatabase::QueryStats stats;
+    result.hits = snap->db.Query(spec, &stats);
+    metrics_.distance_computations.fetch_add(stats.distance_computations,
+                                             std::memory_order_relaxed);
+    metrics_.lb_prunes.fetch_add(stats.lb_prunes, std::memory_order_relaxed);
+    metrics_.early_abandons.fetch_add(stats.early_abandons,
+                                      std::memory_order_relaxed);
+  } catch (const std::exception&) {
+    // Typed failure instead of an exception escaping a runtime worker
+    // (the paged store's query path throws on I/O errors). Part of the
+    // submit/complete contract: every request finalizes.
+    metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
+    QueryResult failed;
+    failed.status = StatusCode::kIoError;
+    failed.latency_micros = MicrosSince(st.start);
+    st.TryFinalize(std::move(failed));
+    return;
   }
   metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
   result.status = StatusCode::kOk;
   result.generation = snap->generation;
-  result.from_cache = hit;
   result.latency_micros = MicrosSince(st.start);
   histogram->Record(result.latency_micros);
 
@@ -236,9 +222,7 @@ void QueryEngine::RunTask(const std::shared_ptr<RequestState>& state,
     QueryResult expired;
     expired.status = StatusCode::kDeadlineExceeded;
     expired.latency_micros = result.latency_micros;
-    if (st.TryFinalize(std::move(expired))) {
-      metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    }
+    st.TryFinalize(std::move(expired), &ServerMetrics::deadline_exceeded);
     return;
   }
   st.TryFinalize(std::move(result));
@@ -248,10 +232,6 @@ QueryHandle QueryEngine::Submit(const api::QuerySpec& spec,
                                 const api::SubmitOptions& opts,
                                 CompletionFn on_complete) {
   const auto start = Clock::now();
-  // One digest computation at the API edge serves cache keying for every
-  // kind; per-kind histograms keep the latency attribution of the old
-  // dedicated entry points.
-  const uint64_t digest = spec.Digest();
   LatencyHistogram* histogram = HistogramFor(spec.kind);
 
   auto state = std::make_shared<RequestState>();
@@ -261,23 +241,6 @@ QueryHandle QueryEngine::Submit(const api::QuerySpec& spec,
   state->on_complete = std::move(on_complete);
   state->metrics = &metrics_;
   QueryHandle handle(state);
-
-  // Fast path: serve repeated queries from the result cache on the calling
-  // thread — one shard mutex, no admission slot, no runtime round-trip.
-  if (opts.use_cache) {
-    std::shared_ptr<const Snapshot> snap = head_.load();
-    QueryResult result;
-    if (cache_.Get({digest, snap->generation}, &result.hits)) {
-      metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      result.status = StatusCode::kOk;
-      result.generation = snap->generation;
-      result.from_cache = true;
-      result.latency_micros = MicrosSince(start);
-      histogram->Record(result.latency_micros);
-      state->TryFinalize(std::move(result));
-      return handle;
-    }
-  }
 
   // Bounded admission: the queue-depth gauge doubles as the token counter.
   int64_t depth =
@@ -295,9 +258,7 @@ QueryHandle QueryEngine::Submit(const api::QuerySpec& spec,
   metrics_.admitted.fetch_add(1, std::memory_order_relaxed);
 
   bool posted = runtime_->Post(
-      [this, state, spec, digest, histogram, use_cache = opts.use_cache] {
-        RunTask(state, spec, digest, histogram, use_cache);
-      });
+      [this, state, spec, histogram] { RunTask(state, spec, histogram); });
   if (!posted) {
     // The shared runtime's submission queue is full — shed here too,
     // releasing the admission slot the task will now never release.

@@ -15,7 +15,6 @@
 #include "core/video_database.h"
 #include "server/async_runtime.h"
 #include "server/metrics.h"
-#include "server/result_cache.h"
 #include "util/sync.h"
 
 namespace strg::server {
@@ -37,9 +36,6 @@ struct EngineOptions {
   /// bound is what turns overload into fast typed rejections instead of an
   /// unbounded queue whose latency grows without limit.
   size_t max_pending = 256;
-  /// Total cached query results across all cache shards.
-  size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
   /// External request runtime to execute on (not owned; must outlive the
   /// engine). nullptr = the engine owns a private runtime sized by
   /// num_threads. A ShardedQueryEngine injects one shared runtime into all
@@ -54,15 +50,14 @@ struct QueryResult {
   /// Index generation the answer was computed against (0 when the request
   /// never reached a snapshot: overload / expiry / cancellation).
   uint64_t generation = 0;
-  bool from_cache = false;
   double latency_micros = 0.0;
 };
 
 /// Completion callback of the submit/complete surface. Invoked exactly
 /// once per submitted request, with the final QueryResult, by whichever
 /// thread finalizes the request: a runtime worker (normal completion), the
-/// submitting thread (cache fast path / admission rejection), a waiter
-/// whose deadline passed, or a canceller. Runs before any Wait() on the
+/// submitting thread (admission rejection), a waiter whose deadline passed,
+/// or a canceller. Runs before any Wait() on the
 /// handle returns, so a caller may tear down callback-captured state as
 /// soon as Wait comes back. Must not block (waiting on the same handle
 /// inside the callback deadlocks) and must not re-enter the engine's
@@ -97,10 +92,14 @@ struct RequestState {
   bool done STRG_GUARDED_BY(mu) = false;
   QueryResult result STRG_GUARDED_BY(mu);
 
-  /// First caller wins: records the outcome (NoteStatus exactly once),
-  /// publishes it to waiters, and invokes the completion callback. Returns
-  /// false when someone else already finalized (the result is dropped).
-  bool TryFinalize(QueryResult r) STRG_EXCLUDES(mu);
+  /// First caller wins: records the outcome (NoteStatus, and `counter` of
+  /// the same registry when given, exactly once), publishes it to waiters,
+  /// and invokes the completion callback. Counting comes first, so anyone
+  /// who sees the outcome sees it counted. Returns false when someone else
+  /// already finalized (the result is dropped, nothing is counted).
+  bool TryFinalize(QueryResult r,
+                   std::atomic<uint64_t> ServerMetrics::*counter = nullptr)
+      STRG_EXCLUDES(mu);
   bool Done() const STRG_EXCLUDES(mu);
   /// Blocks until finalized; no deadline handling (the handle layers the
   /// request deadline on top).
@@ -200,14 +199,13 @@ class SnapshotHolder {
 ///    no half-inserted trees.
 ///
 /// Request path — submit/complete over the async runtime:
-///   Submit runs the result-cache fast path on the calling thread (a cache
-///   hit costs one shard mutex, no admission), then bounded admission, then
-///   posts the execution task to the runtime and returns a QueryHandle.
-///   Completion flows through RequestState: the worker finalizes the
-///   result, waiters are notified, and the completion callback fires
-///   exactly once. The blocking Query(spec) is Submit(...).Wait() — the
-///   old thread-per-request future plumbing is gone, and all pre-redesign
-///   call sites behave bit-identically.
+///   Submit runs bounded admission, then posts the execution task to the
+///   runtime and returns a QueryHandle. Completion flows through
+///   RequestState: the worker finalizes the result, waiters are notified,
+///   and the completion callback fires exactly once. The blocking
+///   Query(spec) is Submit(...).Wait() — the old thread-per-request future
+///   plumbing is gone, and all pre-redesign call sites behave
+///   bit-identically.
 class QueryEngine {
  public:
   explicit QueryEngine(index::StrgIndexParams params = {},
@@ -244,10 +242,8 @@ class QueryEngine {
 
   /// The headline entry point: submits the request into the async runtime
   /// and returns a handle. `on_complete` (optional) fires exactly once
-  /// with the final result. Overload and cache fast-path outcomes finalize
-  /// before Submit returns (the callback then runs on the calling thread).
-  /// opts.shard_hint is accepted for vocabulary uniformity and ignored —
-  /// one engine is one shard.
+  /// with the final result. An overload rejection finalizes before Submit
+  /// returns (the callback then runs on the calling thread).
   QueryHandle Submit(const api::QuerySpec& spec,
                      const api::SubmitOptions& opts = {},
                      CompletionFn on_complete = nullptr);
@@ -283,17 +279,14 @@ class QueryEngine {
   LatencyHistogram* HistogramFor(api::QuerySpec::Kind kind);
 
   /// The worker-side execution: deadline/cancel checks, snapshot query,
-  /// cache fill, metrics, finalization. Runs on a runtime worker.
+  /// metrics, finalization. Runs on a runtime worker.
   void RunTask(const std::shared_ptr<RequestState>& state,
-               const api::QuerySpec& spec, uint64_t digest,
-               LatencyHistogram* histogram, bool use_cache);
+               const api::QuerySpec& spec, LatencyHistogram* histogram);
 
   /// Scatter-gather hook for ShardedQueryEngine: one shard leg executed
   /// synchronously on the caller's (worker) thread against the current
   /// snapshot. `initial_tau` seeds kNN pruning with the gatherer's running
-  /// global worst-of-k; tau-bounded answers are intentionally NOT entered
-  /// into the result cache (they are truncated views keyed by the same
-  /// digest, so caching them would poison exact lookups).
+  /// global worst-of-k.
   std::vector<api::VideoDatabase::QueryHit> ExecuteShardLeg(
       const api::QuerySpec& spec, double initial_tau,
       api::VideoDatabase::QueryStats* stats, uint64_t* generation) const;
@@ -305,7 +298,6 @@ class QueryEngine {
 
   EngineOptions opts_;
   ServerMetrics metrics_;
-  ShardedResultCache cache_;
   /// Serializes writers (the clone-mutate-publish window). It guards the
   /// *protocol*, not a field: the data being built is the local `next`
   /// snapshot, and publication goes through head_'s own mutex.

@@ -13,8 +13,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Routing hash seed — distinct from the cache's digest seed so video
-/// placement and result keying are independent hash families.
+/// Routing hash seed. Tools, tests and benchmark catalogs rely on where
+/// each video lands, so the seed and the hash in ShardFor must not change.
 constexpr uint64_t kShardSeed = 0x5354524753484152ULL;  // "STRGSHAR"
 
 double MicrosSince(Clock::time_point start) {
@@ -49,9 +49,7 @@ bool HitBefore(const api::VideoDatabase::QueryHit& a,
 struct ShardedQueryEngine::Gather {
   std::shared_ptr<RequestState> state;
   api::QuerySpec spec;
-  uint64_t digest = 0;
-  bool use_cache = true;
-  uint64_t generation = 0;  ///< global generation the answer is keyed by
+  uint64_t generation = 0;  ///< global generation at submission
   LatencyHistogram* histogram = nullptr;
 
   /// Legs not yet finished; the leg that drops this to zero completes the
@@ -80,7 +78,6 @@ ShardedQueryEngine::ShardedQueryEngine(
     std::vector<index::StrgIndexParams> per_shard_params,
     ShardedEngineOptions opts)
     : opts_(opts),
-      cache_(opts.cache_capacity, opts.cache_shards),
       runtime_([&] {
         AsyncRuntime::Options ro;
         ro.num_threads = opts.num_threads;
@@ -95,11 +92,9 @@ ShardedQueryEngine::ShardedQueryEngine(
   for (size_t s = 0; s < n; ++s) {
     shard_stats_.push_back(std::make_unique<ShardStats>());
     EngineOptions eo;
-    // Legs bypass per-shard admission and caching (see Submit), so shard
-    // engines run as thin snapshot holders on the shared runtime.
+    // Legs bypass per-shard admission (see Submit), so shard engines run
+    // as thin snapshot holders on the shared runtime.
     eo.runtime = &runtime_;
-    eo.cache_capacity = 64;
-    eo.cache_shards = 1;
     shards_.push_back(
         std::make_unique<QueryEngine>(per_shard_params[s], eo));
   }
@@ -110,7 +105,12 @@ ShardedQueryEngine::~ShardedQueryEngine() = default;
 size_t ShardedQueryEngine::ShardFor(std::string_view video,
                                     size_t num_shards) {
   if (num_shards <= 1) return 0;
-  return HashBytes(video.data(), video.size(), kShardSeed) % num_shards;
+  uint64_t h = kShardSeed ^ 0xcbf29ce484222325ULL;  // seeded FNV-1a, 64-bit
+  for (unsigned char c : video) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h % num_shards;
 }
 
 uint64_t ShardedQueryEngine::AddVideo(const std::string& name,
@@ -156,7 +156,6 @@ QueryHandle ShardedQueryEngine::Submit(const api::QuerySpec& spec,
                                        const api::SubmitOptions& opts,
                                        CompletionFn on_complete) {
   const auto start = Clock::now();
-  const uint64_t digest = spec.Digest();
   LatencyHistogram* histogram = HistogramFor(&metrics_, spec.kind);
 
   auto state = std::make_shared<RequestState>();
@@ -166,26 +165,6 @@ QueryHandle ShardedQueryEngine::Submit(const api::QuerySpec& spec,
   state->on_complete = std::move(on_complete);
   state->metrics = &metrics_;
   QueryHandle handle(state);
-
-  const uint64_t generation = Generation();
-
-  // Top-level cache fast path: whole merged answers, keyed by (digest,
-  // global generation). Per-shard caches are useless to the scatter path —
-  // tau-bounded legs produce truncated views — so this is the only cache
-  // consulted.
-  if (opts.use_cache) {
-    QueryResult result;
-    if (cache_.Get({digest, generation}, &result.hits)) {
-      metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      result.status = StatusCode::kOk;
-      result.generation = generation;
-      result.from_cache = true;
-      result.latency_micros = MicrosSince(start);
-      histogram->Record(result.latency_micros);
-      state->TryFinalize(std::move(result));
-      return handle;
-    }
-  }
 
   // One global admission token per request, however many legs it fans into.
   int64_t depth =
@@ -205,18 +184,13 @@ QueryHandle ShardedQueryEngine::Submit(const api::QuerySpec& spec,
   auto g = std::make_shared<Gather>();
   g->state = state;
   g->spec = spec;
-  g->digest = digest;
-  g->use_cache = opts.use_cache;
-  g->generation = generation;
+  g->generation = Generation();
   g->histogram = histogram;
 
-  // Routing: kActive touches exactly the shard owning the video; a
-  // shard_hint restricts any kind to that shard; everything else fans out.
+  // Routing: kActive touches exactly the shard owning the video; everything
+  // else fans out.
   std::vector<size_t> targets;
-  if (opts.shard_hint >= 0 &&
-      static_cast<size_t>(opts.shard_hint) < shards_.size()) {
-    targets.push_back(static_cast<size_t>(opts.shard_hint));
-  } else if (spec.kind == api::QuerySpec::Kind::kActive) {
+  if (spec.kind == api::QuerySpec::Kind::kActive) {
     targets.push_back(RouteShard(spec.video));
   } else {
     targets.reserve(shards_.size());
@@ -237,9 +211,8 @@ QueryHandle ShardedQueryEngine::Submit(const api::QuerySpec& spec,
       QueryResult rejected;
       rejected.status = StatusCode::kOverloaded;
       rejected.latency_micros = MicrosSince(start);
-      if (state->TryFinalize(std::move(rejected))) {
-        metrics_.rejected_overloaded.fetch_add(1, std::memory_order_relaxed);
-      }
+      state->TryFinalize(std::move(rejected),
+                         &ServerMetrics::rejected_overloaded);
       if (g->legs_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
       }
@@ -264,9 +237,7 @@ void ShardedQueryEngine::RunLeg(const std::shared_ptr<Gather>& g,
     QueryResult expired;
     expired.status = StatusCode::kDeadlineExceeded;
     expired.latency_micros = MicrosSince(st.start);
-    if (st.TryFinalize(std::move(expired))) {
-      metrics_.expired_in_queue.fetch_add(1, std::memory_order_relaxed);
-    }
+    st.TryFinalize(std::move(expired), &ServerMetrics::expired_in_queue);
     do_work = false;
   } else if (st.finalized.load(std::memory_order_acquire)) {
     // Waiter gave up / cancel / overload-shed already delivered an
@@ -347,7 +318,7 @@ void ShardedQueryEngine::FinishGather(const std::shared_ptr<Gather>& g) {
   metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
 
   // An early finalize (cancel / deadline / overload-shed / leg failure)
-  // means `merged` may be partial: deliver nothing and poison no cache.
+  // means `merged` may be partial: deliver nothing.
   if (st.finalized.load(std::memory_order_acquire)) return;
 
   QueryResult result;
@@ -362,21 +333,14 @@ void ShardedQueryEngine::FinishGather(const std::shared_ptr<Gather>& g) {
   }
   result.status = StatusCode::kOk;
   result.generation = g->generation;
-  result.from_cache = false;
   result.latency_micros = MicrosSince(st.start);
   g->histogram->Record(result.latency_micros);
-  if (g->use_cache) {
-    metrics_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    cache_.Put({g->digest, g->generation}, result.hits);
-  }
 
   if (st.has_deadline && Clock::now() >= st.deadline) {
     QueryResult expired;
     expired.status = StatusCode::kDeadlineExceeded;
     expired.latency_micros = result.latency_micros;
-    if (st.TryFinalize(std::move(expired))) {
-      metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    }
+    st.TryFinalize(std::move(expired), &ServerMetrics::deadline_exceeded);
     return;
   }
   st.TryFinalize(std::move(result));

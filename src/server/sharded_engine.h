@@ -13,7 +13,6 @@
 #include "server/async_runtime.h"
 #include "server/metrics.h"
 #include "server/query_engine.h"
-#include "server/result_cache.h"
 #include "util/sync.h"
 
 namespace strg::server {
@@ -29,10 +28,6 @@ struct ShardedEngineOptions {
   size_t max_pending = 256;
   /// Shared submission-queue bound for the per-shard leg tasks.
   size_t runtime_max_queue = 4096;
-  /// Top-level result cache (whole merged answers; shard caches are
-  /// bypassed by scatter legs — see Submit).
-  size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
 };
 
 /// Scatter-gather serving over a hash-partitioned catalog.
@@ -43,14 +38,13 @@ struct ShardedEngineOptions {
 /// the touched root and cluster (as in the unsharded engine), and a
 /// temporal (kActive) query scans 1/N of the records.
 ///
-/// Query path: Submit checks the top-level result cache, takes one global
-/// admission token, then fans the request out as per-shard leg tasks on
-/// the shared AsyncRuntime. kNN legs read the gather's running worst-of-k
+/// Query path: Submit takes one global admission token, then fans the
+/// request out as per-shard leg tasks on the shared AsyncRuntime. kNN legs read the gather's running worst-of-k
 /// distance (tau) before executing and seed the shard search with it, so
 /// shards that start after others have finished prune against the best
 /// global answer so far — the scatter-gather counterpart of the paper's
 /// single-index branch-and-bound. The last leg to finish merges by
-/// (distance, global og id), fills the cache, and finalizes the request.
+/// (distance, global og id) and finalizes the request.
 ///
 /// Answers are bit-identical to an unsharded engine fed the same writes in
 /// the same order (assuming distinct distances; exact ties order by global
@@ -95,12 +89,9 @@ class ShardedQueryEngine {
 
   // ---- Readers (global admission, scatter-gather execution). ----
 
-  /// Submits the request: top-level cache fast path, one global admission
-  /// token, then one leg task per participating shard (all shards for
-  /// kSimilar/kRange; the owning shard for kActive; exactly
-  /// opts.shard_hint when set — the hint restricts the scatter, so the
-  /// answer covers only that shard). Same handle/callback contract as
-  /// QueryEngine::Submit.
+  /// Submits the request: one global admission token, then one leg task per
+  /// participating shard (all shards for kSimilar/kRange; the owning shard
+  /// for kActive). Same handle/callback contract as QueryEngine::Submit.
   QueryHandle Submit(const api::QuerySpec& spec,
                      const api::SubmitOptions& opts = {},
                      CompletionFn on_complete = nullptr);
@@ -144,12 +135,11 @@ class ShardedQueryEngine {
   /// One shard leg, on a runtime worker: skip checks, tau read, shard
   /// search, id remap, merge; the last leg finalizes the request.
   void RunLeg(const std::shared_ptr<Gather>& g, size_t shard);
-  /// Completion by the last leg: sort/truncate, cache fill, finalize.
+  /// Completion by the last leg: sort/truncate, finalize.
   void FinishGather(const std::shared_ptr<Gather>& g);
 
   ShardedEngineOptions opts_;
   ServerMetrics metrics_;
-  ShardedResultCache cache_;
   /// Global publish counter: every routed write bumps it by one, so it
   /// matches the generation an unsharded engine fed the same write
   /// sequence would report.

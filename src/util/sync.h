@@ -82,10 +82,10 @@ namespace strg {
 #define STRG_LOCK_FREE
 /// Documentation-only sibling of STRG_EXCLUDES for a capability the
 /// attribute grammar cannot name statically — one shard's mutex selected at
-/// runtime (BufferCache::Shard::mu, ShardedResultCache::Shard::mu). The
-/// argument is the capability *family* being excluded. Expands to nothing;
-/// scripts/strg_lint.py's strg-lock-excludes rule accepts it wherever
-/// STRG_EXCLUDES would be required.
+/// runtime (BufferCache::Shard::mu). The argument is the capability
+/// *family* being excluded. Expands to nothing; scripts/strg_lint.py's
+/// strg-lock-excludes rule accepts it wherever STRG_EXCLUDES would be
+/// required.
 #define STRG_EXCLUDES_DYNAMIC(...)
 
 /// Repo-wide lock hierarchy, outermost first: a thread may only acquire a
@@ -110,7 +110,7 @@ namespace strg {
 ///   write:  kIngestSharded -> kShardMap
 ///           kIngestSharded/kIngestDurable -> kEngineWriter
 ///             -> kRecordStore -> kBufferCache, -> kSnapshot, -> kThreadPool
-///   query:  kGatherMerge / kResultCache / kRequestState / kSnapshot
+///   query:  kGatherMerge / kRequestState / kSnapshot
 ///           (taken one at a time along a leg; kRecordStore -> kBufferCache
 ///           under a paged read)
 enum class LockRank : int {
@@ -120,7 +120,6 @@ enum class LockRank : int {
   kShardMap = 300,      ///< ShardedQueryEngine::map_mu_ (local->global ids)
   kEngineWriter = 400,  ///< QueryEngine::writer_mu_ (clone-mutate-publish)
   kGatherMerge = 500,   ///< ShardedQueryEngine::Gather::merge_mu
-  kResultCache = 600,   ///< ShardedResultCache::Shard::mu
   kRequestState = 700,  ///< RequestState::mu (completion rendezvous)
   kRecordStore = 800,   ///< PagedRecordStore::mu_ (append/commit tail)
   kBufferCache = 900,   ///< BufferCache::Shard::mu (frame pin/evict)
@@ -140,7 +139,6 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kShardMap: return "kShardMap";
     case LockRank::kEngineWriter: return "kEngineWriter";
     case LockRank::kGatherMerge: return "kGatherMerge";
-    case LockRank::kResultCache: return "kResultCache";
     case LockRank::kRequestState: return "kRequestState";
     case LockRank::kRecordStore: return "kRecordStore";
     case LockRank::kBufferCache: return "kBufferCache";

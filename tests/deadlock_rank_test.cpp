@@ -69,14 +69,14 @@ TEST(DeadlockRankDeathTest, SameRankReacquisitionAborts) {
   // Two distinct mutexes at one rank: the hierarchy demands STRICTLY
   // increasing, so rank ties are rejected too (they would allow an
   // AB/BA cycle between two threads).
-  Mutex a{LockRank::kResultCache};
-  Mutex b{LockRank::kResultCache};
+  Mutex a{LockRank::kBufferCache};
+  Mutex b{LockRank::kBufferCache};
   EXPECT_DEATH(
       {
         MutexLock la(a);
         MutexLock lb(b);
       },
-      "LOCK RANK INVERSION.*kResultCache.*kResultCache");
+      "LOCK RANK INVERSION.*kBufferCache.*kBufferCache");
 }
 
 TEST(DeadlockRankDeathTest, SharedThenLowerExclusiveAborts) {

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -102,18 +104,16 @@ TEST(ServerConcurrency, WritersAndReadersSeeConsistentGenerations) {
       uint64_t last_gen = 0;
       for (size_t i = 0; i < kQueriesPerReader; ++i) {
         const dist::Sequence& q = fx.queries[(r * 13 + i) % fx.queries.size()];
-        api::SubmitOptions qo;
-        qo.use_cache = (r % 2 == 0);  // exercise both paths concurrently
         QueryResult res;
         switch (i % 3) {
           case 0:
-            res = engine.Query(api::QuerySpec::Similar(q, 100000), qo);
+            res = engine.Query(api::QuerySpec::Similar(q, 100000));
             break;
           case 1:
-            res = engine.Query(api::QuerySpec::WithinRadius(q, 1e12), qo);
+            res = engine.Query(api::QuerySpec::WithinRadius(q, 1e12));
             break;
           default:
-            res = engine.Query(api::QuerySpec::Active("lab", 0, 1 << 30), qo);
+            res = engine.Query(api::QuerySpec::Active("lab", 0, 1 << 30));
             break;
         }
         if (res.status != StatusCode::kOk) {
@@ -181,35 +181,40 @@ TEST(ServerConcurrency, SnapshotsAreImmutableWhileIngestContinues) {
   writer.join();
 }
 
-TEST(ServerConcurrency, CacheServesRepeatsAndGenerationBumpInvalidates) {
+// Every request runs its query: a repeat on one generation recomputes the
+// same answer with the same distance work, and the next request after a
+// publish answers from the new generation.
+TEST(ServerConcurrency, RepeatedQueryIsRecomputedAndSeesEachPublish) {
   Fixture fx = MakeFixture(8, 3);
   QueryEngine engine(FastIndex());
   int segment_id = -1;
   engine.AddVideo("lab", fx.segment, &segment_id);
 
-  const dist::Sequence& q = fx.queries[2];
-  QueryResult cold = engine.Query(api::QuerySpec::Similar(q, 4));
-  ASSERT_EQ(cold.status, StatusCode::kOk);
-  EXPECT_FALSE(cold.from_cache);
+  const api::QuerySpec knn = api::QuerySpec::Similar(fx.queries[2], 4);
+  const std::atomic<uint64_t>& dps = engine.metrics().distance_computations;
+  const uint64_t dp0 = dps.load();
+  QueryResult first = engine.Query(knn);
+  ASSERT_EQ(first.status, StatusCode::kOk);
+  const uint64_t dp1 = dps.load();
+  QueryResult second = engine.Query(knn);
+  ASSERT_EQ(second.status, StatusCode::kOk);
+  const uint64_t dp2 = dps.load();
 
-  QueryResult warm = engine.Query(api::QuerySpec::Similar(q, 4));
-  ASSERT_EQ(warm.status, StatusCode::kOk);
-  EXPECT_TRUE(warm.from_cache);
-  EXPECT_EQ(warm.generation, cold.generation);
-  ASSERT_EQ(warm.hits.size(), cold.hits.size());
-  for (size_t i = 0; i < warm.hits.size(); ++i) {
-    EXPECT_EQ(warm.hits[i].og_id, cold.hits[i].og_id);
+  EXPECT_EQ(second.generation, first.generation);
+  ASSERT_EQ(second.hits.size(), first.hits.size());
+  for (size_t i = 0; i < first.hits.size(); ++i) {
+    EXPECT_EQ(second.hits[i].og_id, first.hits[i].og_id);
+    EXPECT_EQ(std::bit_cast<uint64_t>(second.hits[i].distance),
+              std::bit_cast<uint64_t>(first.hits[i].distance));
   }
-  EXPECT_GE(engine.metrics().cache_hits.load(), 1u);
+  EXPECT_GT(dp1 - dp0, 0u);
+  EXPECT_EQ(dp2 - dp1, dp1 - dp0) << "the repeat must run the search again";
 
-  // Publishing a new generation re-keys the world: the same request is a
-  // miss again and reflects the new OG.
   engine.AddObjectGraph(segment_id, "lab", fx.stream[0],
                         synth::SynthScaling());
-  QueryResult after = engine.Query(api::QuerySpec::Similar(q, 4));
+  QueryResult after = engine.Query(knn);
   ASSERT_EQ(after.status, StatusCode::kOk);
-  EXPECT_FALSE(after.from_cache);
-  EXPECT_EQ(after.generation, cold.generation + 1);
+  EXPECT_EQ(after.generation, first.generation + 1);
 }
 
 TEST(ServerConcurrency, ZeroAdmissionBudgetRejectsWithOverloaded) {
@@ -246,23 +251,62 @@ TEST(ServerConcurrency, ExpiredDeadlineYieldsDeadlineExceeded) {
   EXPECT_EQ(ok.hits.size(), 3u);
 }
 
+// A waiter whose deadline passes finalizes the request and counts it in
+// deadline_exceeded. When the request's task is dequeued afterwards, the
+// worker must not count the same outcome again as expired_in_queue.
+TEST(ServerConcurrency, DeadlineOutcomeIsCountedOnce) {
+  Fixture fx = MakeFixture(8, 9);
+  AsyncRuntime::Options ro;
+  ro.num_threads = 1;
+  AsyncRuntime runtime(ro);  // declared first: must outlive the engine
+  EngineOptions opts;
+  opts.runtime = &runtime;
+  QueryEngine engine(FastIndex(), opts);
+  engine.AddVideo("lab", fx.segment);
+
+  // Hold the only worker so the next request waits in the queue.
+  std::atomic<bool> release{false};
+  ASSERT_TRUE(runtime.Post([&release] {
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }));
+
+  api::SubmitOptions tight;
+  tight.timeout = std::chrono::milliseconds(5);
+  QueryResult expired =
+      engine.Query(api::QuerySpec::Similar(fx.queries[1], 3), tight);
+  EXPECT_EQ(expired.status, StatusCode::kDeadlineExceeded);
+
+  // One FIFO worker: the expired task is dequeued before this request's.
+  release.store(true);
+  QueryResult ok = engine.Query(api::QuerySpec::Similar(fx.queries[1], 3));
+  ASSERT_EQ(ok.status, StatusCode::kOk);
+
+  const ServerMetrics& m = engine.metrics();
+  const uint64_t counted =
+      m.deadline_exceeded.load() + m.expired_in_queue.load();
+  EXPECT_EQ(counted, 1u);
+  EXPECT_EQ(m.status_counts[static_cast<size_t>(StatusCode::kDeadlineExceeded)]
+                .load(),
+            counted);
+  EXPECT_EQ(m.queue_depth.load(), 0);
+}
+
 TEST(ServerConcurrency, MetricsJsonReportsServingState) {
   Fixture fx = MakeFixture(8, 13);
   QueryEngine engine(FastIndex());
   engine.AddVideo("lab", fx.segment);
   engine.Query(api::QuerySpec::Similar(fx.queries[0], 2));
-  engine.Query(api::QuerySpec::Similar(fx.queries[0], 2));  // cache hit
+  engine.Query(api::QuerySpec::Similar(fx.queries[0], 2));
   engine.Query(api::QuerySpec::WithinRadius(fx.queries[1], 1.0));
   engine.Query(api::QuerySpec::Active("lab", 0, 100));
 
   std::string json = engine.MetricsJson();
   EXPECT_NE(json.find("\"generation\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"cache\""), std::string::npos);
-  EXPECT_NE(json.find("\"hit_rate\""), std::string::npos);
   EXPECT_NE(json.find("\"p99_us\""), std::string::npos);
   EXPECT_NE(json.find("\"queue_depth\":0"), std::string::npos) << json;
-  EXPECT_GE(engine.metrics().cache_hits.load(), 1u);
-  EXPECT_GE(engine.metrics().admitted.load(), 3u);
+  EXPECT_EQ(engine.metrics().admitted.load(), 4u);
 }
 
 }  // namespace

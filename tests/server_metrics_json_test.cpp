@@ -118,14 +118,13 @@ class JsonChecker {
 /// The stable top-level schema, in emission order.
 const char* const kTopLevelKeys[] = {
     "\"generation\":", "\"shards\":",  "\"admission\":", "\"status_codes\":",
-    "\"cache\":",      "\"ingest\":",  "\"wal\":",       "\"storage\":",
-    "\"distance\":",   "\"queries\":",
+    "\"ingest\":",     "\"wal\":",     "\"storage\":",   "\"distance\":",
+    "\"queries\":",
 };
 
 TEST(ServerMetricsJson, UnshardedScrapeIsValidWithStableKeysAndEmptyShards) {
   ServerMetrics m;
   m.admitted.fetch_add(3);
-  m.cache_hits.fetch_add(1);
   m.knn_latency.Record(120.0);
   std::string json = m.ToJson(/*generation=*/7);
 
@@ -185,11 +184,8 @@ TEST(ServerMetricsJson, ShardedEngineScrapeIsValidAndCountsLegs) {
   engine.AddVideo("clip", segment);
 
   std::vector<dist::Sequence> queries = ds.Sequences(synth::SynthScaling());
-  api::SubmitOptions opts;
-  opts.use_cache = false;
   for (size_t q = 0; q < 4; ++q) {
-    ASSERT_EQ(engine.Query(api::QuerySpec::Similar(queries[q], 3), opts)
-                  .status,
+    ASSERT_EQ(engine.Query(api::QuerySpec::Similar(queries[q], 3)).status,
               StatusCode::kOk);
   }
 

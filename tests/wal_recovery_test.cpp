@@ -703,7 +703,7 @@ TEST(DurableEngine, MetricsJsonCarriesWalAndStatusBreakdown) {
   auto e = MustOpen(dir, SmallEngine());
   ASSERT_TRUE(e->AddVideo("lab", fx.segment).ok());
   e->Query(api::QuerySpec::Similar(fx.queries[0], 3));
-  e->Query(api::QuerySpec::Similar(fx.queries[0], 3));  // cache hit
+  e->Query(api::QuerySpec::Similar(fx.queries[0], 3));
 
   std::string json = e->MetricsJson();
   EXPECT_NE(json.find("\"wal\":{\"appends\":1"), std::string::npos) << json;
