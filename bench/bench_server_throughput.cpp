@@ -3,7 +3,8 @@
 // thread counts and reports QPS and kNN latency percentiles as JSON
 // (stdout + BENCH_server.json).
 //
-// Phases (each on a freshly built engine so metrics are per-phase):
+// Phases (each on a freshly built engine so metrics are per-phase, and
+// each over the same request count, 4,000 x STRG_BENCH_SCALE):
 //   serial_direct      — 1 thread, raw api::VideoDatabase replay: no
 //                        server. The single-threaded baseline.
 //   server_1thread     — 1 driver through the QueryEngine.
@@ -247,21 +248,21 @@ int main() {
   const int scale = std::max(1, bench::EnvInt("STRG_BENCH_SCALE", 1));
   const size_t drivers = static_cast<size_t>(
       std::max(1, bench::EnvInt("STRG_BENCH_THREADS", 4)));
-  const size_t serial_requests = 400 * static_cast<size_t>(scale);
-  const size_t multi_requests = 4000 * static_cast<size_t>(scale);
+  // One request count for every phase: a short serial phase is mostly
+  // noise, and the speedup ratio is only as steady as its denominator.
+  const size_t requests = 4000 * static_cast<size_t>(scale);
 
   Workload w = MakeWorkload(/*base=*/128);
   std::cout << "workload: " << w.segment.decomposition.object_graphs.size()
             << " base OGs, " << w.stream.size() << " streamable OGs, "
             << w.queries.size() << " query pool (hot set 8)\n"
-            << "phases: serial=" << serial_requests
-            << " reqs, server=" << multi_requests << " reqs, drivers="
-            << drivers << "\n";
+            << "phases: " << requests << " reqs each, drivers=" << drivers
+            << "\n";
 
-  PhaseResult serial = RunSerialDirect(w, serial_requests);
-  PhaseResult one = RunServerPhase("server_1thread", w, 1, serial_requests);
+  PhaseResult serial = RunSerialDirect(w, requests);
+  PhaseResult one = RunServerPhase("server_1thread", w, 1, requests);
   PhaseResult multi =
-      RunServerPhase("server_multithread", w, drivers, multi_requests);
+      RunServerPhase("server_multithread", w, drivers, requests);
 
   const double speedup = multi.qps / serial.qps;
 

@@ -1,5 +1,9 @@
 // strgtool: command-line front end for the library.
 //
+// A <catalog> is a storage::Catalog file: CRC-framed segment records,
+// the same format the durable engine publishes as <wal-dir>/catalog.snap.
+// Commands that write a catalog refuse to touch one they cannot read.
+//
 //   strgtool ingest <catalog> <lab|traffic> <name> <num_objects> [seed]
 //       Render + process a simulated stream and append it to a catalog
 //       file (creates the catalog if absent).
@@ -7,7 +11,7 @@
 //       Describe the catalog's segments.
 //   strgtool stats <catalog>
 //       Rebuild the index and print its structural health (clusters, leaf
-//       occupancancy, covering radii).
+//       occupancy, covering radii).
 //   strgtool query <catalog> <video> <og_index> [k]
 //       Rebuild the database from the catalog and run a k-NN query using
 //       one of the stored OGs as the probe.
@@ -15,21 +19,22 @@
 //       Ingest a real frame sequence (sorted .ppm files, e.g. exported by
 //       `ffmpeg -i clip.mp4 frames/%06d.ppm`): shot detection splits the
 //       stream, each shot becomes its own catalog segment.
-//   strgtool serve [--shards=N] [--paged] [--cache-mb=N] <wal-dir>
+//   strgtool serve [--paged] [--cache-mb=N] <wal-dir>
 //                  [lab|traffic <name> <num_objects> [seed]]
 //       Open a crash-durable engine on <wal-dir> (recovering any prior
 //       state), optionally ingest one rendered scene through the WAL, run
-//       a sample query, and print recovery stats + server metrics. Run it
-//       twice with the same <wal-dir> to watch state survive a restart.
-//       --paged routes bulk records through the out-of-core page store with
-//       a --cache-mb buffer-cache budget (default 8 MiB). --shards=N also
-//       serves the recovered catalog through an N-way scatter-gather
-//       ShardedQueryEngine and prints its per-shard metrics.
+//       a sample query, print recovery stats + server metrics, and publish
+//       a snapshot (compaction) before exiting. Run it twice with the same
+//       <wal-dir> to watch state survive a restart.
+//       --paged keeps the index's leaf sequences in the out-of-core page
+//       store (<wal-dir>/store.pages) with a --cache-mb buffer-cache budget
+//       (default 8 MiB); the snapshot and log are the same in both modes,
+//       so each run may choose either.
 //   strgtool save <wal-dir> <catalog-out>
-//       Recover the durable state in <wal-dir> and export it as a plain
-//       catalog file usable by info/stats/query.
+//       Recover the durable state in <wal-dir> and export it as a catalog
+//       file usable by info/stats/query.
 //   strgtool stat <page-file>
-//       Audit a page file (store.pages / catalog.pages) offline: header
+//       Audit a page file (e.g. <wal-dir>/store.pages) offline: header
 //       fields, page-type counts, free-list health, and live/dead record
 //       occupancy per record type.
 //   strgtool simd
@@ -59,7 +64,6 @@
 #include "distance/simd/dispatch.h"
 #include "server/durable_engine.h"
 #include "server/serve_options.h"
-#include "server/sharded_engine.h"
 #include "storage/catalog.h"
 #include "storage/crc32c.h"
 #include "storage/pager/paged_record_store.h"
@@ -80,7 +84,7 @@ int Usage() {
       "  strgtool info <catalog>\n"
       "  strgtool stats <catalog>\n"
       "  strgtool query <catalog> <video> <og_index> [k]\n"
-      "  strgtool serve [--shards=N] [--paged] [--cache-mb=N] <wal-dir>\n"
+      "  strgtool serve [--paged] [--cache-mb=N] <wal-dir>\n"
       "                 [lab|traffic <name> <num_objects> [seed]]\n"
       "  strgtool save <wal-dir> <catalog-out>\n"
       "  strgtool stat <page-file>\n"
@@ -88,9 +92,19 @@ int Usage() {
   return 2;
 }
 
-storage::Catalog LoadOrEmpty(const std::string& path) {
+/// Loads into *out (left as is, empty, when the file is missing). Any other
+/// failure is printed and returns false, so the caller exits without
+/// overwriting a catalog it could not read.
+bool LoadOrEmpty(const std::string& path, storage::Catalog* out) {
   auto loaded = storage::Catalog::TryLoadFromFile(path);
-  return loaded.ok() ? std::move(loaded).value() : storage::Catalog{};
+  if (loaded.ok()) {
+    *out = std::move(loaded).value();
+    return true;
+  }
+  if (loaded.status().code() == api::StatusCode::kNotFound) return true;
+  std::cerr << "cannot load " << path << ": " << loaded.status().ToString()
+            << "\n";
+  return false;
 }
 
 /// Loads into *out, printing the error itself. Returns false on failure.
@@ -125,11 +139,12 @@ int Ingest(const std::string& path, const std::string& kind,
   video::SceneSpec scene =
       kind == "traffic" ? video::MakeTrafficScene(sp) : video::MakeLabScene(sp);
 
+  storage::Catalog catalog;
+  if (!LoadOrEmpty(path, &catalog)) return 1;
   api::PipelineParams pp;
   pp.segmenter.use_mean_shift = false;
   api::SegmentResult segment = api::ProcessScene(scene, pp);
 
-  storage::Catalog catalog = LoadOrEmpty(path);
   catalog.AddSegment(api::ToCatalogSegment(name, segment));
   if (!MustSaveCatalog(catalog, path)) return 1;
   std::cout << "ingested '" << name << "': " << scene.num_frames
@@ -141,6 +156,8 @@ int Ingest(const std::string& path, const std::string& kind,
 
 int IngestPpm(const std::string& path, const std::string& name,
               const std::string& dir) {
+  storage::Catalog catalog;
+  if (!LoadOrEmpty(path, &catalog)) return 1;
   std::vector<video::Frame> frames = video::LoadPpmDirectory(dir);
   if (frames.empty()) {
     std::cerr << "no .ppm frames found in " << dir << "\n";
@@ -148,7 +165,6 @@ int IngestPpm(const std::string& path, const std::string& name,
   }
   api::PipelineParams pp;  // mean-shift front end for real footage
   std::vector<api::SegmentResult> segments = api::ProcessFrames(frames, pp);
-  storage::Catalog catalog = LoadOrEmpty(path);
   for (size_t i = 0; i < segments.size(); ++i) {
     std::string seg_name =
         segments.size() == 1 ? name : name + "#" + std::to_string(i);
@@ -181,7 +197,7 @@ int Info(const std::string& path) {
 int Stats(const std::string& path) {
   storage::Catalog catalog;
   if (!MustLoadCatalog(path, &catalog)) return 1;
-  api::VideoDatabase db = api::RestoreVideoDatabase(catalog);
+  api::VideoDatabase db(catalog);
   auto stats = db.index().ComputeStats();
   std::cout << "segments: " << stats.segments
             << "\nclusters: " << stats.clusters
@@ -211,7 +227,7 @@ int Query(const std::string& path, const std::string& video, size_t og_index,
   index::StrgIndexParams params;
   params.num_clusters = 0;  // let BIC choose
   params.k_max = 10;
-  api::VideoDatabase db = api::RestoreVideoDatabase(catalog, params);
+  api::VideoDatabase db(catalog, params);
 
   dist::FeatureScaling scaling;
   scaling.frame_width = segment->frame_width;
@@ -233,13 +249,8 @@ int Query(const std::string& path, const std::string& video, size_t og_index,
 }
 
 std::string RecordTypeName(uint8_t type) {
-  switch (type) {
-    case storage::kRecOgSequence: return "og-sequence";
-    case storage::kRecBackground: return "background";
-    case storage::kRecCatalogMeta: return "catalog-meta";
-    case storage::kRecIndexNode: return "index-node";
-    default: return "type-" + std::to_string(type);
-  }
+  if (type == storage::kRecIndexNode) return "index-node";
+  return "type-" + std::to_string(type);
 }
 
 int Stat(const std::string& path) {
@@ -400,39 +411,6 @@ server::DurableQueryEngine* MustOpenDurable(
   return holder->get();
 }
 
-/// Mirrors the recovered catalog into an N-shard scatter-gather engine,
-/// runs the sample probe through it, and prints its per-shard metrics —
-/// the CLI face of ShardedQueryEngine.
-void ServeSharded(const storage::Catalog& catalog,
-                  const server::ServeOptions& serve) {
-  server::ShardedQueryEngine sharded(index::StrgIndexParams{},
-                                     serve.ToShardedOptions());
-  for (const storage::CatalogSegment& s : catalog.segments()) {
-    api::SegmentResult segment;
-    segment.num_frames = s.num_frames;
-    segment.frame_width = s.frame_width;
-    segment.frame_height = s.frame_height;
-    segment.decomposition.background = s.background;
-    segment.decomposition.object_graphs = s.ogs;
-    size_t shard = 0;
-    sharded.AddVideo(s.video_name, segment, nullptr, &shard);
-    std::cout << "  shard " << shard << " <- '" << s.video_name << "' ("
-              << s.ogs.size() << " OGs)\n";
-  }
-  if (catalog.NumSegments() > 0 && !catalog.segments()[0].ogs.empty()) {
-    const storage::CatalogSegment& s = catalog.segments()[0];
-    dist::FeatureScaling scaling;
-    scaling.frame_width = s.frame_width;
-    scaling.frame_height = s.frame_height;
-    server::QueryResult qr = sharded.Query(api::QuerySpec::Similar(
-        dist::OgToSequence(s.ogs[0], scaling), 3));
-    std::cout << "sample scatter-gather 3-NN ("
-              << StatusCodeName(qr.status) << "): " << qr.hits.size()
-              << " hit(s) across " << sharded.NumShards() << " shard(s)\n";
-  }
-  std::cout << sharded.MetricsJson() << "\n";
-}
-
 int Serve(const std::string& wal_dir, const std::string& kind,
           const std::string& name, int num_objects, uint64_t seed,
           const server::ServeOptions& serve) {
@@ -479,6 +457,8 @@ int Serve(const std::string& wal_dir, const std::string& kind,
   // Probe the serving path with the first stored OG so a restart visibly
   // answers from recovered state.
   const storage::Catalog& catalog = engine->catalog();
+  std::cout << "catalog: " << catalog.NumSegments() << " segment(s), "
+            << catalog.TotalOgs() << " OGs\n";
   if (catalog.NumSegments() > 0 && !catalog.segments()[0].ogs.empty()) {
     const storage::CatalogSegment& s = catalog.segments()[0];
     dist::FeatureScaling scaling;
@@ -492,16 +472,12 @@ int Serve(const std::string& wal_dir, const std::string& kind,
   }
   std::cout << engine->MetricsJson() << "\n";
 
-  if (serve.shards > 1) {
-    std::cout << "sharded serving (" << serve.shards << " shards):\n";
-    ServeSharded(engine->catalog(), serve);
-  }
-
-  // Commit pending state (WAL fsync + paged-store header) so `strgtool
-  // stat` on the page file sees this run's occupancy.
-  api::Status st = engine->Sync();
+  // Publish a snapshot and reset the log before exiting: the next run, in
+  // either storage mode, recovers from catalog.snap, and in paged mode the
+  // store header is committed so `strgtool stat` sees this run's occupancy.
+  api::Status st = engine->Compact();
   if (!st.ok()) {
-    std::cerr << "sync failed: " << st.ToString() << "\n";
+    std::cerr << "compaction failed: " << st.ToString() << "\n";
     return 1;
   }
   return 0;

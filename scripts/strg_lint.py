@@ -117,7 +117,7 @@ SHARD_FIELD_RE = re.compile(r'\\?"shards\\?"')
 K_FIELD_RE = re.compile(r'\\?"k\\?"')
 RESTARTS_FIELD_RE = re.compile(r'\\?"restarts\\?"')
 BOUND_MODE_FIELD_RE = re.compile(r'\\?"bound_mode\\?"')
-# "TryDeserialize" etc. do not match: no word boundary after "Try".
+# "TryLoadFromFile" etc. do not match: no word boundary after "Try".
 DEPRECATED_CATALOG_RE = re.compile(
     r"\b(?:Deserialize|SaveToFile|LoadFromFile)\s*\(")
 GUARD_DECL_RE = re.compile(
@@ -451,7 +451,7 @@ def lint_tree(root: str) -> list:
                     path, idx, "strg-deprecated-catalog",
                     "the throwing Catalog wrappers (Deserialize/SaveToFile/"
                     "LoadFromFile) were removed in PR 10 — do not "
-                    "reintroduce them; use TryDeserialize/TrySaveToFile/"
+                    "reintroduce them; use TryDecode/TrySaveToFile/"
                     "TryLoadFromFile (Status/StatusOr)"))
             if not in_simd:
                 if SIMD_INTRINSICS_RE.search(code_line) and not suppressed(

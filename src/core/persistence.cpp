@@ -14,9 +14,14 @@ storage::CatalogSegment ToCatalogSegment(const std::string& video_name,
   return out;
 }
 
-VideoDatabase RestoreVideoDatabase(const storage::Catalog& catalog,
-                                   const index::StrgIndexParams& params) {
-  return VideoDatabase(catalog, params);
+SegmentResult FromCatalogSegment(const storage::CatalogSegment& segment) {
+  SegmentResult out;
+  out.num_frames = segment.num_frames;
+  out.frame_width = segment.frame_width;
+  out.frame_height = segment.frame_height;
+  out.decomposition.background = segment.background;
+  out.decomposition.object_graphs = segment.ogs;
+  return out;
 }
 
 }  // namespace strg::api

@@ -13,11 +13,10 @@ namespace strg::api {
 storage::CatalogSegment ToCatalogSegment(const std::string& video_name,
                                          const SegmentResult& segment);
 
-/// Rebuilds a VideoDatabase from a catalog: every stored segment is
-/// re-registered (and re-clustered — the index build is deterministic for
-/// fixed parameters, so reloads reproduce the same index).
-VideoDatabase RestoreVideoDatabase(const storage::Catalog& catalog,
-                                   const index::StrgIndexParams& params = {});
+/// The inverse: the minimal SegmentResult a database needs to register a
+/// stored segment (geometry, background and OGs). To rebuild a whole
+/// database, construct VideoDatabase from the catalog.
+SegmentResult FromCatalogSegment(const storage::CatalogSegment& segment);
 
 }  // namespace strg::api
 

@@ -1,5 +1,7 @@
 #include "core/video_database.h"
 
+#include "core/persistence.h"
+
 namespace strg::api {
 
 VideoDatabase::VideoDatabase(index::StrgIndexParams params)
@@ -9,14 +11,7 @@ VideoDatabase::VideoDatabase(const storage::Catalog& catalog,
                              index::StrgIndexParams params)
     : index_(params) {
   for (const storage::CatalogSegment& s : catalog.segments()) {
-    // Reconstitute the minimal SegmentResult the database needs.
-    SegmentResult segment;
-    segment.num_frames = s.num_frames;
-    segment.frame_width = s.frame_width;
-    segment.frame_height = s.frame_height;
-    segment.decomposition.background = s.background;
-    segment.decomposition.object_graphs = s.ogs;
-    AddVideo(s.video_name, segment);
+    AddVideo(s.video_name, FromCatalogSegment(s));
   }
 }
 

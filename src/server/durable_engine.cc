@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/persistence.h"
-#include "storage/file_io.h"
 #include "storage/serializer.h"
 
 namespace strg::server {
@@ -17,13 +16,6 @@ namespace strg::server {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Snapshot file: [u32 magic][u32 version][u64 applied_seq][catalog bytes,
-// length-prefixed]. applied_seq is the last WAL sequence number the
-// snapshot covers — recovery skips log records at or below it, which is
-// what makes "crash between snapshot rename and log reset" replay-safe.
-constexpr uint32_t kSnapMagic = 0x534E5053;  // "SNPS"
-constexpr uint32_t kSnapVersion = 1;
 
 // WAL payload op tags.
 constexpr uint8_t kOpAddVideo = 1;
@@ -47,16 +39,6 @@ dist::FeatureScaling DecodeScaling(storage::Reader* r) {
   return s;
 }
 
-api::SegmentResult ReconstituteSegment(const storage::CatalogSegment& s) {
-  api::SegmentResult segment;
-  segment.num_frames = s.num_frames;
-  segment.frame_width = s.frame_width;
-  segment.frame_height = s.frame_height;
-  segment.decomposition.background = s.background;
-  segment.decomposition.object_graphs = s.ogs;
-  return segment;
-}
-
 uint64_t PayloadSeq(std::string_view payload) {
   storage::Reader r(payload);
   return r.GetU64();
@@ -75,13 +57,6 @@ std::string DurableQueryEngine::LogPath(const std::string& wal_dir) {
 }
 std::string DurableQueryEngine::StorePath(const std::string& wal_dir) {
   return wal_dir + "/store.pages";
-}
-std::string DurableQueryEngine::PagedSnapshotPath(const std::string& wal_dir) {
-  return wal_dir + "/catalog.pages";
-}
-std::string DurableQueryEngine::PagedSnapshotTmpPath(
-    const std::string& wal_dir) {
-  return wal_dir + "/catalog.pages.tmp";
 }
 
 DurableQueryEngine::DurableQueryEngine(
@@ -143,10 +118,20 @@ api::Status DurableQueryEngine::Recover() {
                                 ec.message());
   }
 
-  // 1. Leftover *.tmp files (flat or paged snapshot halves) mean a
-  //    compaction died before publishing; the live snapshot is still the
-  //    previous, complete one. Sweep them all — orphan tmps are pure
-  //    garbage whatever wrote them.
+  // 0. Builds before the one catalog format published paged-mode
+  //    snapshots as catalog.pages. Recovering from the log alone would
+  //    silently drop everything that file holds, so refuse and leave it.
+  const std::string legacy = wal_dir_ + "/catalog.pages";
+  if (fs::exists(legacy, ec)) {
+    return api::Status::Corruption(
+        "recovery: " + legacy +
+        " is a catalog snapshot from an older build, which this build "
+        "cannot read; its OGs are not in catalog.snap or the log");
+  }
+
+  // 1. Leftover *.tmp files mean a compaction died before publishing; the
+  //    live snapshot is still the previous, complete one. Sweep them all —
+  //    orphan tmps are pure garbage whatever wrote them.
   for (const fs::directory_entry& entry :
        fs::directory_iterator(wal_dir_, ec)) {
     if (ec) break;
@@ -163,51 +148,19 @@ api::Status DurableQueryEngine::Recover() {
   }
 
   // 2. Snapshot: the bulk of the state, loaded in one deterministic
-  //    rebuild. Corruption here is fatal — the log alone cannot prove it
-  //    holds the complete history.
+  //    rebuild. Its user_data is the last WAL sequence it covers. Any
+  //    damage is fatal (kCorruption) — the log alone cannot prove it holds
+  //    the complete history.
   uint64_t applied_seq = 0;
-  if (opts_.storage.paged) {
-    api::StatusOr<storage::Catalog> loaded =
-        storage::Catalog::TryLoadFromPagedFile(PagedSnapshotPath(wal_dir_),
-                                               opts_.storage, &applied_seq);
-    if (loaded.ok()) {
-      catalog_ = std::move(loaded).value();
-    } else if (loaded.status().code() != api::StatusCode::kNotFound) {
-      return loaded.status();
-    }
-  } else {
-    api::StatusOr<std::string> snap =
-        storage::ReadFileToString(SnapshotPath(wal_dir_));
-    if (!snap.ok() && snap.status().code() != api::StatusCode::kNotFound) {
-      return snap.status();
-    }
-    if (snap.ok()) {
-      const std::string bytes = std::move(snap).value();
-      try {
-        storage::Reader r(bytes);
-        if (r.GetU32() != kSnapMagic) {
-          return api::Status::Corruption("recovery: snapshot has bad magic");
-        }
-        if (r.GetU32() != kSnapVersion) {
-          return api::Status::Corruption(
-              "recovery: unsupported snapshot version");
-        }
-        applied_seq = r.GetU64();
-        api::StatusOr<storage::Catalog> catalog =
-            storage::Catalog::TryDeserialize(r.GetString());
-        if (!catalog.ok()) return catalog.status();
-        if (!r.AtEnd()) {
-          return api::Status::Corruption(
-              "recovery: trailing bytes after snapshot");
-        }
-        catalog_ = std::move(catalog).value();
-      } catch (const std::out_of_range&) {
-        return api::Status::Corruption("recovery: truncated snapshot");
-      }
-    }
+  api::StatusOr<storage::Catalog> loaded =
+      storage::Catalog::TryLoadFromFile(SnapshotPath(wal_dir_), &applied_seq);
+  if (loaded.ok()) {
+    catalog_ = std::move(loaded).value();
+  } else if (loaded.status().code() != api::StatusCode::kNotFound) {
+    return loaded.status();
   }
   for (const storage::CatalogSegment& s : catalog_.segments()) {
-    engine_.AddVideo(s.video_name, ReconstituteSegment(s));
+    engine_.AddVideo(s.video_name, api::FromCatalogSegment(s));
     recovery_.snapshot_ogs += s.ogs.size();
   }
   recovery_.snapshot_segments = catalog_.NumSegments();
@@ -220,7 +173,7 @@ api::Status DurableQueryEngine::Recover() {
   if (!scanned.ok()) return scanned.status();
   recovery_.tail_truncated = scanned->tail_truncated;
   log_records_ = scanned->records.size();
-  for (const std::string& payload : scanned->records) {
+  for (std::string_view payload : scanned->records) {
     uint64_t seq = 0;
     try {
       seq = PayloadSeq(payload);
@@ -264,7 +217,7 @@ api::Status DurableQueryEngine::ApplyRecord(std::string_view payload,
     const uint8_t op = r.GetU8();
     if (op == kOpAddVideo) {
       storage::CatalogSegment seg = storage::DecodeCatalogSegment(&r);
-      engine_.AddVideo(seg.video_name, ReconstituteSegment(seg));
+      engine_.AddVideo(seg.video_name, api::FromCatalogSegment(seg));
       catalog_.AddSegment(std::move(seg));
       return api::Status::Ok();
     }
@@ -369,25 +322,10 @@ api::Status DurableQueryEngine::CompactLocked() {
   // Publish protocol: tmp write + fsync, rename over the live snapshot,
   // directory fsync, then (and only then) reset the log. A crash at any
   // point leaves either the old snapshot + full log, or the new snapshot
-  // + a log whose records are all <= applied_seq and thus skipped. The
-  // paged mode writes the snapshot through a PagedRecordStore (per-page
-  // CRCs) instead of one flat file; the publish protocol is identical.
-  std::string tmp, live;
-  api::Status st;
-  if (opts_.storage.paged) {
-    tmp = PagedSnapshotTmpPath(wal_dir_);
-    live = PagedSnapshotPath(wal_dir_);
-    st = catalog_.TrySaveToPagedFile(tmp, opts_.storage, next_seq_ - 1);
-  } else {
-    storage::Writer w;
-    w.PutU32(kSnapMagic);
-    w.PutU32(kSnapVersion);
-    w.PutU64(next_seq_ - 1);
-    w.PutString(catalog_.Serialize());
-    tmp = SnapshotTmpPath(wal_dir_);
-    live = SnapshotPath(wal_dir_);
-    st = storage::WriteFileSync(tmp, w.bytes());
-  }
+  // + a log whose records are all <= applied_seq and thus skipped.
+  const std::string tmp = SnapshotTmpPath(wal_dir_);
+  const std::string live = SnapshotPath(wal_dir_);
+  api::Status st = catalog_.TrySaveToFile(tmp, /*user_data=*/next_seq_ - 1);
   if (!st.ok()) return st;
   if (fail_point_ == FailPoint::kAfterSnapshotTmpWrite) {
     return api::Status::IoError(

@@ -26,13 +26,13 @@ struct DurableEngineOptions {
   size_t compact_every = 1024;
   /// Serving-layer options forwarded to the wrapped QueryEngine.
   EngineOptions engine;
-  /// Out-of-core storage engine (A/B knob, default off = all in RAM).
-  /// With `storage.paged` set the engine keeps two page files under the
-  /// durability directory: `store.pages`, an ephemeral leaf-record store
-  /// the index writes through during rebuild/ingest (recreated at every
-  /// Open — durability comes from the snapshot + WAL, never from it), and
-  /// `catalog.pages`, the paged catalog snapshot compaction publishes via
-  /// the same tmp + rename protocol as the flat snapshot.
+  /// Where the index's leaf sequences live (default off = all in RAM).
+  /// With `storage.paged` set the engine keeps `store.pages` under the
+  /// durability directory: an ephemeral leaf-record store the index writes
+  /// through during rebuild/ingest, recreated at every Open. It holds no
+  /// catalog payloads; durability comes from catalog.snap + wal.log, which
+  /// are the same files in both modes, so a directory may be reopened with
+  /// either setting.
   storage::StorageParams storage;
 };
 
@@ -75,10 +75,12 @@ struct RecoveryStats {
 ///   acked generation survives a crash.
 ///
 /// Recovery (Open) — snapshot, then log:
+///   0. Refuse (kCorruption) a directory holding a catalog.pages snapshot
+///      from an older build, leaving the file in place.
 ///   1. Remove an orphaned catalog.snap.tmp (a compaction died mid-write;
 ///      the published snapshot is still the old, complete one).
-///   2. Load catalog.snap if present; it records the last WAL sequence
-///      number it covers.
+///   2. Load catalog.snap if present: a storage::Catalog file whose
+///      user_data is the last WAL sequence number it covers.
 ///   3. Scan wal.log: CRC-validate records, truncate the first torn or
 ///      corrupt frame and everything after it.
 ///   4. Rebuild the VideoDatabase from the snapshot catalog (deterministic
@@ -89,7 +91,8 @@ struct RecoveryStats {
 ///
 /// Compaction — bounded replay:
 ///   Every `compact_every` records the full catalog (segments + streamed
-///   OGs folded in) is written to catalog.snap.tmp, fsynced, renamed over
+///   OGs folded in) is written to catalog.snap.tmp one segment frame at a
+///   time, fsynced once, renamed over
 ///   catalog.snap (directory fsynced), and the log is reset. Compaction
 ///   folds streamed OGs into their segment, so replay-after-compaction maps
 ///   them with the segment's geometry-derived FeatureScaling — the
@@ -97,7 +100,7 @@ struct RecoveryStats {
 ///   Scaling()).
 ///
 /// Concurrency: reads go straight to the wrapped QueryEngine (snapshot
-/// isolation, admission control, caching — unchanged). Ingest serializes
+/// isolation and admission control, unchanged). Ingest serializes
 /// on one mutex covering the WAL append + publish + compaction decision.
 class DurableQueryEngine {
  public:
@@ -161,10 +164,8 @@ class DurableQueryEngine {
   static std::string SnapshotPath(const std::string& wal_dir);
   static std::string SnapshotTmpPath(const std::string& wal_dir);
   static std::string LogPath(const std::string& wal_dir);
-  /// Paged-mode files (see DurableEngineOptions::storage).
+  /// The paged-mode leaf store (see DurableEngineOptions::storage).
   static std::string StorePath(const std::string& wal_dir);
-  static std::string PagedSnapshotPath(const std::string& wal_dir);
-  static std::string PagedSnapshotTmpPath(const std::string& wal_dir);
 
   /// The leaf-record store backing the index in paged mode (nullptr when
   /// storage.paged is off). Exposed for metrics/tests.

@@ -27,11 +27,6 @@ bool ServeOptions::ParseFlag(std::string_view arg) {
     if (v > 0) cache_mb = v;
     return true;
   }
-  if (arg.rfind("--shards=", 0) == 0) {
-    size_t v = FlagValue(arg, "--shards=");
-    if (v > 0) shards = v;
-    return true;
-  }
   return false;
 }
 
@@ -39,12 +34,6 @@ DurableEngineOptions ServeOptions::ToDurableOptions() const {
   DurableEngineOptions opts;
   opts.storage.paged = paged;
   if (paged) opts.storage.cache_bytes = static_cast<uint64_t>(cache_mb) << 20;
-  return opts;
-}
-
-ShardedEngineOptions ServeOptions::ToShardedOptions() const {
-  ShardedEngineOptions opts;
-  opts.num_shards = shards == 0 ? 1 : shards;
   return opts;
 }
 

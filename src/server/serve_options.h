@@ -5,32 +5,26 @@
 #include <string_view>
 
 #include "server/durable_engine.h"
-#include "server/sharded_engine.h"
 
 namespace strg::server {
 
 /// Serving configuration shared by `strgtool serve` and embedders: one
-/// struct owns the flag vocabulary (--shards=N, --paged, --cache-mb=N)
-/// and its mapping onto the engine option structs, so the CLI and library
-/// callers cannot drift apart on defaults or spelling.
+/// struct owns the flag vocabulary (--paged, --cache-mb=N) and its
+/// mapping onto DurableEngineOptions, so the CLI and library callers
+/// cannot drift apart on defaults or spelling.
 struct ServeOptions {
-  /// Catalog partitions. 1 = a single durable engine; >1 additionally
-  /// serves reads through a ShardedQueryEngine (scatter-gather kNN).
-  size_t shards = 1;
-  /// Route bulk records through the out-of-core page store.
+  /// Keep the index's leaf sequences in the out-of-core page store.
   bool paged = false;
   /// Buffer-cache budget for the page store, in MiB.
   size_t cache_mb = 8;
 
-  /// Parses one command-line token. Recognized: --shards=N, --paged,
-  /// --cache-mb=N (which implies --paged). Returns false when the token is
-  /// not a serve flag (the caller treats it as positional).
+  /// Parses one command-line token. Recognized: --paged, --cache-mb=N
+  /// (which implies --paged). Returns false when the token is not a serve
+  /// flag (the caller treats it as positional).
   bool ParseFlag(std::string_view arg);
 
   /// The durability layer's view of these options.
   DurableEngineOptions ToDurableOptions() const;
-  /// The scatter-gather layer's view (meaningful when shards > 1).
-  ShardedEngineOptions ToShardedOptions() const;
 };
 
 }  // namespace strg::server

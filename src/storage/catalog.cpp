@@ -1,11 +1,11 @@
 #include "storage/catalog.h"
 
-#include <fstream>
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "storage/pager/paged_record_store.h"
+#include "storage/file_io.h"
+#include "storage/wal.h"
 
 namespace strg::storage {
 
@@ -40,213 +40,100 @@ CatalogSegment DecodeCatalogSegment(Reader* r) {
   s.frame_height = static_cast<int>(r->GetU32());
   s.num_frames = r->GetU64();
   s.background = DecodeBackgroundGraph(r);
-  size_t ogs = static_cast<size_t>(r->GetVarint());
-  s.ogs.reserve(ogs);
+  const size_t ogs = static_cast<size_t>(r->GetVarint());
+  s.ogs.reserve(std::min(ogs, r->remaining()));  // a bad count cannot OOM
   for (size_t j = 0; j < ogs; ++j) s.ogs.push_back(DecodeOg(r));
   return s;
 }
 
-std::string Catalog::Serialize() const {
-  Writer w;
-  w.PutU32(kMagic);
-  w.PutU32(kVersion);
-  w.PutVarint(segments_.size());
-  for (const CatalogSegment& s : segments_) EncodeCatalogSegment(s, &w);
-  return w.Take();
+namespace {
+
+api::Status Corrupt(const std::string& what) {
+  return api::Status::Corruption("Catalog: " + what);
 }
 
-api::StatusOr<Catalog> Catalog::TryDeserialize(std::string_view bytes) {
-  // The Reader throws std::out_of_range on truncation; translate every
-  // parse-level failure into one typed kCorruption outcome so truncated
-  // files and bad magic surface identically to callers.
-  try {
-    Reader r(bytes);
-    if (r.GetU32() != kMagic) {
-      return api::Status::Corruption("Catalog: bad magic (not a STRG catalog)");
-    }
-    uint32_t version = r.GetU32();
-    if (version != kVersion) {
-      return api::Status::Corruption("Catalog: unsupported version " +
-                                     std::to_string(version));
-    }
-    Catalog catalog;
-    size_t segments = static_cast<size_t>(r.GetVarint());
-    for (size_t i = 0; i < segments; ++i) {
-      catalog.AddSegment(DecodeCatalogSegment(&r));
-    }
-    if (!r.AtEnd()) {
-      return api::Status::Corruption(
-          "Catalog: trailing bytes after last segment");
-    }
-    return catalog;
-  } catch (const std::out_of_range&) {
-    return api::Status::Corruption("Catalog: truncated input");
-  } catch (const std::length_error&) {
-    return api::Status::Corruption("Catalog: implausible length field");
-  }
-}
+}  // namespace
 
-api::Status Catalog::TrySaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return api::Status::IoError("Catalog: cannot open " + path);
-  std::string bytes = Serialize();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) return api::Status::IoError("Catalog: short write to " + path);
-  return api::Status::Ok();
-}
-
-api::StatusOr<Catalog> Catalog::TryLoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return api::Status::NotFound("Catalog: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return TryDeserialize(buf.str());
-}
-
-api::Status Catalog::TrySaveToPagedFile(const std::string& path,
-                                        const StorageParams& params,
-                                        uint64_t user_data) const {
-  api::StatusOr<std::unique_ptr<PagedRecordStore>> created =
-      PagedRecordStore::Create(path, params);
-  if (!created.ok()) return created.status();
-  std::unique_ptr<PagedRecordStore> store = std::move(created).value();
-
-  std::vector<uint64_t> segment_ids;
-  segment_ids.reserve(segments_.size());
-  for (const CatalogSegment& s : segments_) {
-    Writer bg;
-    EncodeBackgroundGraph(s.background, &bg);
-    api::StatusOr<uint64_t> bg_id = store->Append(kRecBackground, bg.bytes());
-    if (!bg_id.ok()) return bg_id.status();
-
-    std::vector<uint64_t> og_ids;
-    og_ids.reserve(s.ogs.size());
-    for (const core::Og& og : s.ogs) {
-      Writer wo;
-      EncodeOg(og, &wo);
-      api::StatusOr<uint64_t> og_id = store->Append(kRecOgSequence,
-                                                    wo.bytes());
-      if (!og_id.ok()) return og_id.status();
-      og_ids.push_back(og_id.value());
-    }
-
-    Writer meta;
-    meta.PutString(s.video_name);
-    meta.PutU32(static_cast<uint32_t>(s.frame_width));
-    meta.PutU32(static_cast<uint32_t>(s.frame_height));
-    meta.PutU64(s.num_frames);
-    meta.PutU64(bg_id.value());
-    meta.PutVarint(og_ids.size());
-    for (uint64_t id : og_ids) meta.PutU64(id);
-    api::StatusOr<uint64_t> seg_id = store->Append(kRecCatalogMeta,
-                                                   meta.bytes());
-    if (!seg_id.ok()) return seg_id.status();
-    segment_ids.push_back(seg_id.value());
-  }
-
-  Writer manifest;
-  manifest.PutU32(kMagic);
-  manifest.PutU32(kVersion);
-  manifest.PutU64(user_data);
-  manifest.PutVarint(segment_ids.size());
-  for (uint64_t id : segment_ids) manifest.PutU64(id);
-  api::StatusOr<uint64_t> root = store->Append(kRecCatalogMeta,
-                                               manifest.bytes());
-  if (!root.ok()) return root.status();
-  store->SetRoot(root.value());
-  return store->Commit();
-}
-
-api::StatusOr<Catalog> Catalog::TryLoadFromPagedFile(
-    const std::string& path, const StorageParams& params,
-    uint64_t* user_data) {
-  api::StatusOr<std::unique_ptr<PagedRecordStore>> opened =
-      PagedRecordStore::Open(path, params);
-  if (!opened.ok()) return opened.status();
-  std::unique_ptr<PagedRecordStore> store = std::move(opened).value();
-  if (store->Root() == PagedRecordStore::kNoRecord) {
-    return api::Status::Corruption("Catalog: paged file has no manifest: " +
-                                   path);
-  }
-
-  // Reads a record and hands its bytes to `decode`; any Reader truncation
-  // inside surfaces as one typed kCorruption (same policy as
-  // TryDeserialize).
-  auto read_record =
-      [&](uint64_t id, uint8_t want_type,
-          auto&& decode) -> api::Status {
-    api::StatusOr<PagedRecordStore::RecordRef> ref = store->Read(id);
-    if (!ref.ok()) return ref.status();
-    if (ref.value().record_type() != want_type) {
-      return api::Status::Corruption(
-          "Catalog: record " + std::to_string(id) + " has type " +
-          std::to_string(ref.value().record_type()) + ", expected " +
-          std::to_string(want_type));
-    }
-    try {
-      Reader r(ref.value().bytes());
-      decode(&r);
-      if (!r.AtEnd()) {
-        return api::Status::Corruption("Catalog: trailing bytes in record " +
-                                       std::to_string(id));
-      }
-      return api::Status::Ok();
-    } catch (const std::out_of_range&) {
-      return api::Status::Corruption("Catalog: truncated record " +
-                                     std::to_string(id));
-    } catch (const std::length_error&) {
-      return api::Status::Corruption("Catalog: implausible length in record " +
-                                     std::to_string(id));
-    }
-  };
-
-  std::vector<uint64_t> segment_ids;
-  bool header_ok = true;
-  api::Status st = read_record(
-      store->Root(), kRecCatalogMeta, [&](Reader* r) {
-        header_ok = r->GetU32() == kMagic && r->GetU32() == kVersion;
-        if (!header_ok) return;  // surfaced as kCorruption below
-        const uint64_t data = r->GetU64();
-        if (user_data != nullptr) *user_data = data;
-        const size_t n = static_cast<size_t>(r->GetVarint());
-        for (size_t i = 0; i < n; ++i) segment_ids.push_back(r->GetU64());
-      });
-  if (!header_ok) {
-    return api::Status::Corruption(
-        "Catalog: paged manifest has bad magic or version: " + path);
+api::Status Catalog::TrySaveToFile(const std::string& path,
+                                   uint64_t user_data) const {
+  // kOnPublish: the frames go out unsynced and the one Sync() below makes
+  // the whole file durable. Create truncates, so a stale file left at
+  // `path` (a crashed compaction's tmp) is replaced, never extended.
+  api::StatusOr<WalWriter> out =
+      WalWriter::Create(path, WalOptions{WalSyncPolicy::kOnPublish});
+  if (!out.ok()) return out.status();
+  Writer header;
+  header.PutU32(kMagic);
+  header.PutU32(kVersion);
+  header.PutU64(user_data);
+  header.PutVarint(segments_.size());
+  api::Status st = out->Append(header.bytes());
+  for (size_t i = 0; st.ok() && i < segments_.size(); ++i) {
+    Writer frame;  // one encoded segment in memory at a time
+    EncodeCatalogSegment(segments_[i], &frame);
+    st = out->Append(frame.bytes());
   }
   if (!st.ok()) return st;
+  return out->Sync();
+}
 
-  Catalog catalog;
-  for (uint64_t seg_id : segment_ids) {
-    CatalogSegment s;
-    uint64_t bg_id = 0;
-    std::vector<uint64_t> og_ids;
-    st = read_record(seg_id, kRecCatalogMeta, [&](Reader* r) {
-      s.video_name = r->GetString();
-      s.frame_width = static_cast<int>(r->GetU32());
-      s.frame_height = static_cast<int>(r->GetU32());
-      s.num_frames = r->GetU64();
-      bg_id = r->GetU64();
-      const size_t n = static_cast<size_t>(r->GetVarint());
-      for (size_t i = 0; i < n; ++i) og_ids.push_back(r->GetU64());
-    });
-    if (!st.ok()) return st;
-    st = read_record(bg_id, kRecBackground, [&](Reader* r) {
-      s.background = DecodeBackgroundGraph(r);
-    });
-    if (!st.ok()) return st;
-    s.ogs.reserve(og_ids.size());
-    for (uint64_t og_id : og_ids) {
-      st = read_record(og_id, kRecOgSequence, [&](Reader* r) {
-        s.ogs.push_back(DecodeOg(r));
-      });
-      if (!st.ok()) return st;
-    }
-    catalog.AddSegment(std::move(s));
+api::StatusOr<Catalog> Catalog::TryLoadFromFile(const std::string& path,
+                                                uint64_t* user_data) {
+  api::StatusOr<std::string> bytes = ReadFileToString(path);
+  if (!bytes.ok()) return bytes.status();
+  api::StatusOr<Catalog> catalog = TryDecode(bytes.value(), user_data);
+  if (!catalog.ok()) {
+    return api::Status(catalog.status().code(),
+                       catalog.status().message() + " (" + path + ")");
   }
   return catalog;
+}
+
+api::StatusOr<Catalog> Catalog::TryDecode(std::string_view bytes,
+                                          uint64_t* user_data) {
+  const FrameScan scan = ScanFrames(bytes);
+  if (scan.valid_bytes != bytes.size()) {
+    return Corrupt("torn or checksum-failing frame at byte " +
+                   std::to_string(scan.valid_bytes));
+  }
+  if (scan.payloads.empty()) return Corrupt("no header frame");
+  // The Reader throws std::out_of_range on truncation (and a vector may
+  // throw std::length_error on an implausible count); both become one
+  // typed kCorruption outcome.
+  try {
+    Reader header(scan.payloads[0]);
+    if (header.GetU32() != kMagic) {
+      return Corrupt("bad magic (not a STRG catalog)");
+    }
+    const uint32_t version = header.GetU32();
+    if (version != kVersion) {
+      return Corrupt("unsupported version " + std::to_string(version));
+    }
+    const uint64_t data = header.GetU64();
+    const uint64_t count = header.GetVarint();
+    if (!header.AtEnd()) return Corrupt("trailing bytes in header frame");
+    if (count != scan.payloads.size() - 1) {
+      return Corrupt("header names " + std::to_string(count) +
+                     " segment(s) but " +
+                     std::to_string(scan.payloads.size() - 1) +
+                     " segment frame(s) follow");
+    }
+    Catalog catalog;
+    catalog.segments_.reserve(scan.payloads.size() - 1);
+    for (size_t i = 1; i < scan.payloads.size(); ++i) {
+      Reader r(scan.payloads[i]);
+      catalog.AddSegment(DecodeCatalogSegment(&r));
+      if (!r.AtEnd()) {
+        return Corrupt("trailing bytes in segment frame " + std::to_string(i));
+      }
+    }
+    if (user_data != nullptr) *user_data = data;
+    return catalog;
+  } catch (const std::out_of_range&) {
+    return Corrupt("truncated frame payload");
+  } catch (const std::length_error&) {
+    return Corrupt("implausible length field");
+  }
 }
 
 }  // namespace strg::storage

@@ -1,11 +1,12 @@
 #ifndef STRG_STORAGE_CATALOG_H_
 #define STRG_STORAGE_CATALOG_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/status.h"
-#include "storage/pager/storage_params.h"
 #include "storage/serializer.h"
 #include "strg/object_graph.h"
 
@@ -23,8 +24,8 @@ struct CatalogSegment {
   std::vector<core::Og> ogs;
 };
 
-/// Segment codec, shared by the catalog body and the WAL's AddVideo record
-/// payloads (one wire format, two containers).
+/// Segment codec, shared by the catalog file's segment frames and the
+/// WAL's AddVideo record payloads (one wire format, two containers).
 void EncodeCatalogSegment(const CatalogSegment& s, Writer* w);
 CatalogSegment DecodeCatalogSegment(Reader* r);
 
@@ -36,15 +37,22 @@ CatalogSegment DecodeCatalogSegment(Reader* r);
 /// the paper's size analysis assumes (the index is small and lives in
 /// memory; the OG payloads are the durable data).
 ///
-/// Error surface: the Try* methods are the primary API and return
-/// api::Status / api::StatusOr — a bad magic, an unsupported version, and a
-/// truncated buffer all surface uniformly as kCorruption (missing files as
-/// kNotFound, OS failures as kIoError). The historical throwing methods
-/// remain as thin wrappers over them and will eventually be removed.
+/// File format: one run of WAL frames (storage/wal.h),
+/// `[u32 len][u32 crc32c][payload]`, written and scanned by the WAL's own
+/// code. Frame 0 is the header `[u32 kMagic][u32 kVersion][u64 user_data]
+/// [varint segment count]`; each later frame is one EncodeCatalogSegment
+/// payload. The same file serves as the durable engine's `catalog.snap`
+/// (whatever its storage mode) and as a strgtool catalog.
+///
+/// Error surface: every method returns api::Status / api::StatusOr. A
+/// missing file is kNotFound and an OS failure kIoError. Anything else
+/// short of a well-formed file — a frame that fails its checksum, a torn
+/// or trailing frame, a bad magic or version, a segment count that does
+/// not match the frames, a segment that does not decode — is kCorruption.
 class Catalog {
  public:
   static constexpr uint32_t kMagic = 0x53545247;  // "STRG"
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
 
   void AddSegment(CatalogSegment segment);
 
@@ -56,39 +64,27 @@ class Catalog {
   size_t NumSegments() const { return segments_.size(); }
   size_t TotalOgs() const;
 
-  /// Serializes to a byte string (magic + version header, then segments).
-  std::string Serialize() const;
+  /// Writes the catalog to `path` (replacing any file there) one segment
+  /// frame at a time, then fsyncs once. `user_data` is one caller-owned
+  /// u64 carried in the header (the durable engine stores its applied WAL
+  /// sequence there).
+  api::Status TrySaveToFile(const std::string& path,
+                            uint64_t user_data = 0) const;
 
-  /// Parses a serialized catalog. Any malformed input — bad magic,
-  /// unsupported version, truncation, trailing bytes — is kCorruption.
-  static api::StatusOr<Catalog> TryDeserialize(std::string_view bytes);
+  /// Reads `path` whole and decodes it with TryDecode.
+  static api::StatusOr<Catalog> TryLoadFromFile(
+      const std::string& path, uint64_t* user_data = nullptr);
 
-  /// File persistence. Missing file on load is kNotFound; OS-level
-  /// failures are kIoError; malformed contents are kCorruption.
-  api::Status TrySaveToFile(const std::string& path) const;
-  static api::StatusOr<Catalog> TryLoadFromFile(const std::string& path);
+  /// Decodes a whole catalog file image (no I/O). Strict: every frame must
+  /// verify, and there must be exactly one header plus `count` segment
+  /// frames with nothing after them.
+  static api::StatusOr<Catalog> TryDecode(std::string_view bytes,
+                                          uint64_t* user_data = nullptr);
 
-  /// Paged persistence: writes the catalog through a PagedRecordStore —
-  /// each background graph, each OG, and each segment's metadata becomes
-  /// its own typed, CRC-protected record (OGs larger than a page overflow-
-  /// chain automatically), with a manifest record as the store root. The
-  /// same torn-write detection the WAL gives its records now covers the
-  /// snapshot, page by page, and `strgtool stat` can audit the file without
-  /// this class. `user_data` is one caller-owned u64 carried in the
-  /// manifest (the durable engine stores its applied WAL sequence there).
-  /// Error surface matches the flat-file forms: kNotFound for a missing
-  /// file, kCorruption for any malformed record.
-  api::Status TrySaveToPagedFile(const std::string& path,
-                                 const StorageParams& params,
-                                 uint64_t user_data = 0) const;
-  static api::StatusOr<Catalog> TryLoadFromPagedFile(
-      const std::string& path, const StorageParams& params,
-      uint64_t* user_data = nullptr);
-
-  // The throwing wrappers (Deserialize / SaveToFile / LoadFromFile) spent
-  // one release deprecated and are now REMOVED: this class speaks
-  // Status/StatusOr only. scripts/strg_lint.py's strg-deprecated-catalog
-  // rule rejects any reintroduction, in this header included.
+  // The throwing wrappers (Deserialize / SaveToFile / LoadFromFile) are
+  // REMOVED: this class speaks Status/StatusOr only.
+  // scripts/strg_lint.py's strg-deprecated-catalog rule rejects any
+  // reintroduction, in this header included.
 
  private:
   std::vector<CatalogSegment> segments_;

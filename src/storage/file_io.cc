@@ -1,6 +1,7 @@
 #include "storage/file_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -18,6 +19,10 @@ api::StatusOr<std::string> ReadFileToString(const std::string& path) {
                                 std::strerror(errno));
   }
   std::string out;
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    out.reserve(static_cast<size_t>(st.st_size));  // one buffer, no regrowth
+  }
   char buf[1 << 16];
   while (true) {
     ssize_t n = ::read(fd, buf, sizeof(buf));
@@ -33,34 +38,6 @@ api::StatusOr<std::string> ReadFileToString(const std::string& path) {
   }
   ::close(fd);
   return out;
-}
-
-api::Status WriteFileSync(const std::string& path, std::string_view bytes) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return api::Status::IoError("write: open of " + path + ": " +
-                                std::strerror(errno));
-  }
-  size_t done = 0;
-  while (done < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      api::Status st = api::Status::IoError("write to " + path + ": " +
-                                            std::strerror(errno));
-      ::close(fd);
-      return st;
-    }
-    done += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    api::Status st = api::Status::IoError("fsync of " + path + ": " +
-                                          std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  ::close(fd);
-  return api::Status::Ok();
 }
 
 }  // namespace strg::storage

@@ -2,7 +2,6 @@
 #define STRG_STORAGE_FILE_IO_H_
 
 #include <string>
-#include <string_view>
 
 #include "api/status.h"
 
@@ -12,11 +11,6 @@ namespace strg::storage {
 /// treat absence as "empty state" branch on the code); OS-level failures
 /// are kIoError.
 api::StatusOr<std::string> ReadFileToString(const std::string& path);
-
-/// Durable whole-file write: open(O_TRUNC), write everything, fsync, close.
-/// This is the tmp half of the tmp-write + rename publication protocol —
-/// callers rename the result over the live file and SyncDir the directory.
-api::Status WriteFileSync(const std::string& path, std::string_view bytes);
 
 }  // namespace strg::storage
 

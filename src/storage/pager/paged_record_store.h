@@ -17,11 +17,11 @@ namespace strg::storage {
 
 /// Tags identifying what a stored record holds; written into each slot
 /// header so a page file can be audited (strgtool stat) without its owner.
+/// The index's leaf entries are the only records the engine stores; the
+/// catalog is a file of its own (storage/catalog.h). Values 1-3 tagged
+/// catalog records in older files and stay unassigned.
 enum RecordType : uint8_t {
-  kRecOgSequence = 1,   ///< a catalog OG payload
-  kRecBackground = 2,   ///< a background-graph payload
-  kRecCatalogMeta = 3,  ///< catalog metadata (segment meta, manifest root)
-  kRecIndexNode = 4,    ///< an index leaf-entry record (OG distance sequence)
+  kRecIndexNode = 4,  ///< an index leaf-entry record (OG distance sequence)
 };
 
 /// Record layer over PageFile + BufferCache: append a byte record, get a

@@ -6,14 +6,16 @@
 
 namespace strg::storage {
 
-/// A/B knob for the out-of-core storage engine.
+/// Where the index's leaf sequences live.
 ///
-/// `paged` off (the default) keeps every byte in RAM — bit-identical to the
-/// pre-pager behavior. `paged` on routes bulk records (leaf OG sequences,
-/// catalog OG/BG payloads) through a PagedRecordStore: a fixed-size-page
+/// `paged` off (the default) keeps them in RAM. `paged` on writes each
+/// leaf entry's OG sequence through a PagedRecordStore: a fixed-size-page
 /// file on disk fronted by a pinned LRU BufferCache whose resident memory
-/// is bounded by `cache_bytes`. Query and ingest results are bit-identical
-/// in both modes; only the residency of the bytes changes.
+/// is bounded by `cache_bytes`. No catalog payloads go into the store;
+/// the durable catalog is the same file in both modes (storage/catalog.h),
+/// so residency is a choice made at each open. Query and ingest results
+/// are bit-identical in both modes; only the residency of the bytes
+/// changes.
 struct StorageParams {
   bool paged = false;
 

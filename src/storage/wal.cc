@@ -37,6 +37,23 @@ api::Status WriteAll(int fd, const char* data, size_t len,
 
 }  // namespace
 
+FrameScan ScanFrames(std::string_view bytes) {
+  FrameScan out;
+  size_t pos = 0;
+  while (bytes.size() - pos >= WalWriter::kHeaderBytes) {  // else torn header
+    const uint32_t len = GetLe32(bytes.data() + pos);
+    const uint32_t crc = GetLe32(bytes.data() + pos + 4);
+    if (len > WalWriter::kMaxRecordBytes) break;             // mangled length
+    if (bytes.size() - pos - WalWriter::kHeaderBytes < len) break;  // torn
+    const char* payload = bytes.data() + pos + WalWriter::kHeaderBytes;
+    if (Crc32c(payload, len) != crc) break;  // bit flip / stale frame
+    out.payloads.emplace_back(payload, len);
+    pos += WalWriter::kHeaderBytes + len;
+  }
+  out.valid_bytes = pos;
+  return out;
+}
+
 api::StatusOr<WalRecovery> RecoverWal(const std::string& path) {
   WalRecovery out;
 
@@ -47,25 +64,15 @@ api::StatusOr<WalRecovery> RecoverWal(const std::string& path) {
     }
     return read.status();
   }
-  const std::string bytes = std::move(read).value();
+  out.bytes = std::make_unique<const std::string>(std::move(read).value());
 
-  size_t pos = 0;
-  while (true) {
-    if (bytes.size() - pos < WalWriter::kHeaderBytes) break;  // torn header
-    const uint32_t len = GetLe32(bytes.data() + pos);
-    const uint32_t crc = GetLe32(bytes.data() + pos + 4);
-    if (len > WalWriter::kMaxRecordBytes) break;             // mangled length
-    if (bytes.size() - pos - WalWriter::kHeaderBytes < len) break;  // torn
-    const char* payload = bytes.data() + pos + WalWriter::kHeaderBytes;
-    if (Crc32c(payload, len) != crc) break;  // bit flip / stale frame
-    out.records.emplace_back(payload, len);
-    pos += WalWriter::kHeaderBytes + len;
-  }
-  out.valid_bytes = pos;
-  out.tail_truncated = pos != bytes.size();
+  FrameScan scan = ScanFrames(*out.bytes);
+  out.records = std::move(scan.payloads);
+  out.valid_bytes = scan.valid_bytes;
+  out.tail_truncated = scan.valid_bytes != out.bytes->size();
 
   if (out.tail_truncated) {
-    if (::truncate(path.c_str(), static_cast<off_t>(pos)) != 0) {
+    if (::truncate(path.c_str(), static_cast<off_t>(scan.valid_bytes)) != 0) {
       return Errno("WAL: truncate of", path);
     }
   }
@@ -98,7 +105,18 @@ void WalWriter::CloseNoSync() {
 
 api::StatusOr<WalWriter> WalWriter::Open(const std::string& path,
                                          WalOptions opts) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  return OpenWithFlags(path, opts, O_WRONLY | O_CREAT | O_APPEND);
+}
+
+api::StatusOr<WalWriter> WalWriter::Create(const std::string& path,
+                                           WalOptions opts) {
+  return OpenWithFlags(path, opts, O_WRONLY | O_CREAT | O_APPEND | O_TRUNC);
+}
+
+api::StatusOr<WalWriter> WalWriter::OpenWithFlags(const std::string& path,
+                                                  WalOptions opts,
+                                                  int flags) {
+  int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) return Errno("WAL: open of", path);
   WalWriter w;
   w.fd_ = fd;

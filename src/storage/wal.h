@@ -2,6 +2,7 @@
 #define STRG_STORAGE_WAL_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,19 +33,34 @@ struct WalOptions {
   size_t sync_every_n = 32;  ///< group size under kEveryN
 };
 
+/// The clean prefix of a run of frames: each frame's payload as a view
+/// into the scanned bytes, in order, and where that prefix ends.
+struct FrameScan {
+  std::vector<std::string_view> payloads;
+  size_t valid_bytes = 0;
+};
+
+/// Pure scan over framed bytes (no I/O). The first anomaly — a header
+/// shorter than 8 bytes, a length above kMaxRecordBytes or running past
+/// the end, or a checksum mismatch — ends the clean prefix. Its callers
+/// differ only in what they do with a dirty tail: log recovery truncates
+/// it, the catalog loader (storage/catalog.h) refuses the file.
+FrameScan ScanFrames(std::string_view bytes);
+
 /// Result of scanning a log at open: the payloads of the clean prefix plus
 /// what (if anything) was cut from the tail.
 struct WalRecovery {
-  std::vector<std::string> records;  ///< validated payloads, log order
-  uint64_t valid_bytes = 0;          ///< length of the clean prefix
-  bool tail_truncated = false;       ///< a torn/corrupt tail was dropped
+  /// The log as read; `records` view into it. Heap-held so the views stay
+  /// valid when the recovery is moved.
+  std::unique_ptr<const std::string> bytes;
+  std::vector<std::string_view> records;  ///< validated payloads, log order
+  uint64_t valid_bytes = 0;               ///< length of the clean prefix
+  bool tail_truncated = false;            ///< a torn/corrupt tail was dropped
 };
 
-/// Scans `path`, validating each record's length frame and CRC32C. The
-/// first anomaly — a header shorter than 8 bytes, a length running past
-/// EOF, or a checksum mismatch — ends the clean prefix; the file is
-/// truncated there so the next append starts from a well-formed tail.
-/// A missing file is an empty (OK) recovery, not an error.
+/// Reads `path` and scans it with ScanFrames; a dirty tail is truncated
+/// in place so the next append starts from a well-formed tail. A missing
+/// file is an empty (OK) recovery, not an error.
 api::StatusOr<WalRecovery> RecoverWal(const std::string& path);
 
 /// Append-only writer over one log file.
@@ -78,6 +94,10 @@ class WalWriter {
   /// expected to have run RecoverWal first so the tail is clean.
   static api::StatusOr<WalWriter> Open(const std::string& path,
                                        WalOptions opts = {});
+  /// Like Open, but truncates `path` first: the writer starts an empty
+  /// file rather than appending to whatever a crashed writer left there.
+  static api::StatusOr<WalWriter> Create(const std::string& path,
+                                         WalOptions opts = {});
 
   /// Frames + appends one payload, then fsyncs according to the policy.
   /// When Append returns OK under kEveryRecord, the record is on stable
@@ -98,6 +118,8 @@ class WalWriter {
   uint64_t unsynced_records() const { return unsynced_records_; }
 
  private:
+  static api::StatusOr<WalWriter> OpenWithFlags(const std::string& path,
+                                                WalOptions opts, int flags);
   void CloseNoSync();
 
   int fd_ = -1;

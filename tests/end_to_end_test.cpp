@@ -1,6 +1,9 @@
 // ctest-labels: integration
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/persistence.h"
 #include "core/video_database.h"
 #include "video/renderer.h"
@@ -42,17 +45,19 @@ TEST(EndToEnd, MultiShotPersistenceAndRetrieval) {
   ASSERT_GE(segments[0].decomposition.object_graphs.size(), 2u);
   ASSERT_GE(segments[1].decomposition.object_graphs.size(), 2u);
 
-  // Persist and reload.
+  // Persist to a catalog file and reload.
   storage::Catalog catalog;
   catalog.AddSegment(ToCatalogSegment("shot-0", segments[0]));
   catalog.AddSegment(ToCatalogSegment("shot-1", segments[1]));
-  storage::Catalog reloaded =
-      storage::Catalog::TryDeserialize(catalog.Serialize()).value();
+  const std::string path = ::testing::TempDir() + "/strg_end_to_end.catalog";
+  ASSERT_TRUE(catalog.TrySaveToFile(path).ok());
+  storage::Catalog reloaded = storage::Catalog::TryLoadFromFile(path).value();
+  std::remove(path.c_str());
 
   index::StrgIndexParams ip;
   ip.num_clusters = 2;
   ip.cluster_params.max_iterations = 6;
-  VideoDatabase db = RestoreVideoDatabase(reloaded, ip);
+  VideoDatabase db(reloaded, ip);
   EXPECT_EQ(db.NumVideos(), 2u);
 
   // Query with the traffic shot's background: hits must resolve to shot-1.

@@ -344,6 +344,11 @@ TEST(BufferCache, ConcurrentPinUnpinWithWriterIsConsistent) {
 
 // -------------------------------------------------------- PagedRecordStore
 
+/// Raw record tags: the store carries any u8 type and never interprets
+/// it, so these stand in for record kinds other than kRecIndexNode.
+constexpr uint8_t kTypeA = 1;
+constexpr uint8_t kTypeB = 2;
+
 StorageParams SmallStoreParams() {
   StorageParams p;
   p.paged = true;
@@ -356,16 +361,16 @@ StorageParams SmallStoreParams() {
 TEST(PagedRecordStore, InlineRoundTripPreservesBytesAndType) {
   std::string path = TempPath("prs_inline.pages");
   auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
-  uint64_t a = store->Append(kRecOgSequence, "first record").value();
-  uint64_t b = store->Append(kRecBackground, "second record").value();
+  uint64_t a = store->Append(kTypeA, "first record").value();
+  uint64_t b = store->Append(kTypeB, "second record").value();
   EXPECT_NE(a, b);
 
   auto ra = store->Read(a).value();
   EXPECT_EQ(ra.bytes(), "first record");
-  EXPECT_EQ(ra.record_type(), kRecOgSequence);
+  EXPECT_EQ(ra.record_type(), kTypeA);
   auto rb = store->Read(b).value();
   EXPECT_EQ(rb.bytes(), "second record");
-  EXPECT_EQ(rb.record_type(), kRecBackground);
+  EXPECT_EQ(rb.record_type(), kTypeB);
   std::remove(path.c_str());
 }
 
@@ -377,7 +382,7 @@ TEST(PagedRecordStore, OverflowChainRoundTrip) {
   std::string big(2500, '\0');
   for (char& c : big) c = static_cast<char>(rng.Uniform(0, 255));
   uint64_t id = store->Append(kRecIndexNode, big).value();
-  uint64_t small_id = store->Append(kRecOgSequence, "tiny").value();
+  uint64_t small_id = store->Append(kTypeA, "tiny").value();
 
   auto ref = store->Read(id).value();
   EXPECT_EQ(ref.bytes(), big);
@@ -395,7 +400,7 @@ TEST(PagedRecordStore, DeleteFreesRecordAndOverflowChain) {
   auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
   std::string big(2000, 'x');
   uint64_t chained = store->Append(kRecIndexNode, big).value();
-  uint64_t keeper = store->Append(kRecOgSequence, "keep me").value();
+  uint64_t keeper = store->Append(kTypeA, "keep me").value();
 
   ASSERT_TRUE(store->Delete(chained).ok());
   auto gone = store->Read(chained);
@@ -417,8 +422,8 @@ TEST(PagedRecordStore, DeleteReturnsFullyDeadPageToFreeList) {
   auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
   // Each 200-byte record nearly fills a 240-byte page payload, so the two
   // records land on different pages and the first page is non-tail.
-  uint64_t a = store->Append(kRecOgSequence, std::string(200, 'a')).value();
-  uint64_t b = store->Append(kRecOgSequence, std::string(200, 'b')).value();
+  uint64_t a = store->Append(kTypeA, std::string(200, 'a')).value();
+  uint64_t b = store->Append(kTypeA, std::string(200, 'b')).value();
   EXPECT_EQ(store->file().free_count(), 0u);
 
   ASSERT_TRUE(store->Delete(a).ok());
@@ -431,7 +436,7 @@ TEST(PagedRecordStore, ReopenSealsTailAndKeepsRecordIds) {
   std::string path = TempPath("prs_reopen.pages");
   StorageParams params = SmallStoreParams();
   auto store = PagedRecordStore::Create(path, params).value();
-  uint64_t a = store->Append(kRecOgSequence, "before crash").value();
+  uint64_t a = store->Append(kTypeA, "before crash").value();
   store->SetRoot(a);
   ASSERT_TRUE(store->Commit().ok());
   store.reset();
@@ -441,7 +446,7 @@ TEST(PagedRecordStore, ReopenSealsTailAndKeepsRecordIds) {
   EXPECT_EQ(back->Read(a).value().bytes(), "before crash");
   // The old tail is sealed: a new append starts a fresh page, so a torn
   // pre-crash tail can never be extended.
-  uint64_t b = back->Append(kRecOgSequence, "after reopen").value();
+  uint64_t b = back->Append(kTypeA, "after reopen").value();
   EXPECT_NE(b >> 16, a >> 16);
   EXPECT_EQ(back->Read(a).value().bytes(), "before crash");
   EXPECT_EQ(back->Read(b).value().bytes(), "after reopen");
@@ -451,7 +456,7 @@ TEST(PagedRecordStore, ReopenSealsTailAndKeepsRecordIds) {
 TEST(PagedRecordStore, ReadOfBogusIdIsNotFound) {
   std::string path = TempPath("prs_bogus.pages");
   auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
-  ASSERT_TRUE(store->Append(kRecOgSequence, "only record").ok());
+  ASSERT_TRUE(store->Append(kTypeA, "only record").ok());
   auto missing = store->Read((1ull << 16) | 55);  // page 1, nonexistent slot
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), api::StatusCode::kNotFound);
@@ -462,9 +467,9 @@ TEST(PagedRecordStore, ReadOfBogusIdIsNotFound) {
 TEST(PagedRecordStore, ComputePageFileStatsAuditsOccupancy) {
   std::string path = TempPath("prs_stats.pages");
   auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
-  store->Append(kRecOgSequence, std::string(50, 's')).value();
-  store->Append(kRecOgSequence, std::string(60, 's')).value();
-  uint64_t dead = store->Append(kRecBackground, std::string(40, 'b')).value();
+  store->Append(kTypeA, std::string(50, 's')).value();
+  store->Append(kTypeA, std::string(60, 's')).value();
+  uint64_t dead = store->Append(kTypeB, std::string(40, 'b')).value();
   uint64_t big = store->Append(kRecIndexNode, std::string(1000, 'n')).value();
   ASSERT_TRUE(store->Delete(dead).ok());
   store->SetRoot(big);
@@ -478,26 +483,26 @@ TEST(PagedRecordStore, ComputePageFileStatsAuditsOccupancy) {
   EXPECT_GE(stats.data_pages, 1u);
   EXPECT_GE(stats.overflow_pages, 4u);
 
-  uint64_t og_live = 0, og_bytes = 0, node_bytes = 0, bg_live = 0;
+  uint64_t a_live = 0, a_bytes = 0, node_bytes = 0, b_live = 0;
   for (const auto& t : stats.by_type) {
-    if (t.record_type == kRecOgSequence) {
-      og_live = t.live_records;
-      og_bytes = t.live_bytes;
+    if (t.record_type == kTypeA) {
+      a_live = t.live_records;
+      a_bytes = t.live_bytes;
     }
     if (t.record_type == kRecIndexNode) node_bytes = t.live_bytes;
-    if (t.record_type == kRecBackground) bg_live = t.live_records;
+    if (t.record_type == kTypeB) b_live = t.live_records;
   }
-  EXPECT_EQ(og_live, 2u);
-  EXPECT_EQ(og_bytes, 110u);
+  EXPECT_EQ(a_live, 2u);
+  EXPECT_EQ(a_bytes, 110u);
   EXPECT_EQ(node_bytes, 1000u);
-  EXPECT_EQ(bg_live, 0u);  // the deleted record no longer counts
+  EXPECT_EQ(b_live, 0u);  // the deleted record no longer counts
   std::remove(path.c_str());
 }
 
 TEST(PagedRecordStore, StatsDetectCorruptPage) {
   std::string path = TempPath("prs_stats_corrupt.pages");
   auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
-  store->Append(kRecOgSequence, std::string(100, 'q')).value();
+  store->Append(kTypeA, std::string(100, 'q')).value();
   ASSERT_TRUE(store->Commit().ok());
   store.reset();
 
@@ -505,6 +510,37 @@ TEST(PagedRecordStore, StatsDetectCorruptPage) {
   auto stats = ComputePageFileStats(path);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), api::StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+TEST(PagedRecordStore, EveryPageFlipIsCorruption) {
+  // A byte flipped in any page — header, slotted data, overflow chain or
+  // free — is caught by that page's CRC, and the audit reports it as
+  // kCorruption instead of misreading the file.
+  std::string path = TempPath("prs_every_page.pages");
+  auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
+  // The first record fills page 1 alone; deleting it frees that page.
+  uint64_t freed = store->Append(kTypeA, std::string(200, 'a')).value();
+  store->Append(kTypeB, std::string(200, 'b')).value();
+  uint64_t big = store->Append(kRecIndexNode, std::string(1000, 'n')).value();
+  ASSERT_TRUE(store->Delete(freed).ok());
+  store->SetRoot(big);
+  ASSERT_TRUE(store->Commit().ok());
+  const uint64_t pages = store->file().num_pages();
+  store.reset();
+
+  PageFileStats clean = ComputePageFileStats(path).value();
+  ASSERT_GE(clean.data_pages, 1u);
+  ASSERT_GE(clean.overflow_pages, 4u);
+  ASSERT_GE(clean.free_pages, 1u);
+  for (uint64_t page = 0; page < pages; ++page) {
+    CorruptByteAt(path, page * 256 + 20);
+    auto stats = ComputePageFileStats(path);
+    ASSERT_FALSE(stats.ok()) << "page " << page << " flip went unnoticed";
+    EXPECT_EQ(stats.status().code(), api::StatusCode::kCorruption);
+    CorruptByteAt(path, page * 256 + 20);  // flip it back
+  }
+  EXPECT_TRUE(ComputePageFileStats(path).ok());
   std::remove(path.c_str());
 }
 

@@ -1,9 +1,10 @@
 // ctest-labels: storage
 //
-// Property tests for the storage codecs: randomized catalogs survive flat
-// and paged round-trips byte-for-byte, and decode of damaged input —
-// truncation at every prefix length, flipped bytes, trailing garbage —
-// surfaces as a typed api::Status (never a crash, never silent garbage).
+// Property tests for the storage codecs: randomized catalogs survive a
+// round trip through the catalog file byte-for-byte, and decode of damaged
+// input — truncation at every prefix length, flipped bytes, trailing
+// garbage, a bad header — surfaces as kCorruption (never a crash, never
+// silent garbage).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,8 +17,9 @@
 #include <vector>
 
 #include "storage/catalog.h"
-#include "storage/pager/storage_params.h"
+#include "storage/file_io.h"
 #include "storage/serializer.h"
+#include "storage/wal.h"
 #include "util/random.h"
 
 namespace strg::storage {
@@ -108,17 +110,66 @@ void ExpectSameCatalog(const Catalog& want, const Catalog& got) {
   }
 }
 
+/// A scratch path private to the running test: ctest runs each test as
+/// its own process, in parallel, so a path shared by two tests races.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/serializer_prop_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
+}
+
+/// The catalog file image TrySaveToFile writes.
+std::string FileImage(const Catalog& catalog, uint64_t user_data = 0) {
+  const std::string path = TempPath("image.catalog");
+  EXPECT_TRUE(catalog.TrySaveToFile(path, user_data).ok());
+  std::string bytes = ReadFileToString(path).value();
+  std::remove(path.c_str());
+  return bytes;
+}
+
 TEST(SerializerProperty, RandomizedCatalogsRoundTripFlat) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Catalog catalog = RandomCatalog(seed);
-    std::string bytes = catalog.Serialize();
-    // Identical input bytes re-serialize identically (canonical encoding).
-    auto back = Catalog::TryDeserialize(bytes);
+    const uint64_t user_data = 0xC0FFEE00 + seed;
+    const std::string bytes = FileImage(catalog, user_data);
+    uint64_t got_user_data = 0;
+    auto back = Catalog::TryDecode(bytes, &got_user_data);
     ASSERT_TRUE(back.ok()) << back.status().message();
+    EXPECT_EQ(got_user_data, user_data);
     ExpectSameCatalog(catalog, back.value());
-    EXPECT_EQ(back.value().Serialize(), bytes);
+    // The decoded catalog re-encodes to identical bytes (canonical
+    // encoding).
+    EXPECT_EQ(FileImage(back.value(), user_data), bytes);
   }
+
+  // An empty catalog is a header frame and nothing else.
+  uint64_t got = 1;
+  auto empty = Catalog::TryDecode(FileImage(Catalog{}, 0), &got);
+  ASSERT_TRUE(empty.ok()) << empty.status().message();
+  EXPECT_EQ(empty.value().NumSegments(), 0u);
+  EXPECT_EQ(got, 0u);
+}
+
+TEST(SerializerProperty, RandomizedCatalogsRoundTripFile) {
+  // Every seed saves over the previous seed's file at one path: a save
+  // that extended the old file instead of replacing it would leave frames
+  // past the header's count, and the load below would refuse them.
+  const std::string path = TempPath("roundtrip.catalog");
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Catalog catalog = RandomCatalog(seed);
+    const uint64_t user_data = 0xC0FFEE00 + seed;
+    ASSERT_TRUE(catalog.TrySaveToFile(path, user_data).ok());
+    uint64_t got_user_data = 0;
+    auto back = Catalog::TryLoadFromFile(path, &got_user_data);
+    ASSERT_TRUE(back.ok()) << back.status().message();
+    EXPECT_EQ(got_user_data, user_data);
+    ExpectSameCatalog(catalog, back.value());
+    // The file holds exactly the image of this catalog.
+    EXPECT_EQ(ReadFileToString(path).value(), FileImage(catalog, user_data));
+  }
+  std::remove(path.c_str());
 }
 
 /// One feature value whose bits stress the codec: mostly ordinary doubles,
@@ -181,40 +232,123 @@ TEST(SerializerProperty, RandomizedSequencesRoundTrip) {
   }
 }
 
+void ExpectCorruption(std::string_view bytes, const std::string& what) {
+  auto r = Catalog::TryDecode(bytes);
+  ASSERT_FALSE(r.ok()) << what << " decoded";
+  EXPECT_EQ(r.status().code(), api::StatusCode::kCorruption) << what;
+}
+
 TEST(SerializerProperty, TruncationAtEveryPrefixIsTypedCorruption) {
-  Catalog catalog = RandomCatalog(42);
-  std::string bytes = catalog.Serialize();
+  const std::string bytes = FileImage(RandomCatalog(42));
   ASSERT_GT(bytes.size(), 16u);
   // Every strict prefix must fail with a typed status — no crash, no
   // exception escaping, no partially-filled catalog passed off as intact.
+  // That includes prefixes that end exactly on a frame boundary: the
+  // header's segment count catches a file cut between frames.
   size_t stride = bytes.size() > 4096 ? 13 : 1;
   for (size_t len = 0; len < bytes.size(); len += stride) {
-    auto r = Catalog::TryDeserialize(std::string_view(bytes).substr(0, len));
-    ASSERT_FALSE(r.ok()) << "prefix length " << len << " decoded";
-    EXPECT_EQ(r.status().code(), api::StatusCode::kCorruption)
-        << "prefix length " << len;
+    ExpectCorruption(std::string_view(bytes).substr(0, len),
+                     "prefix length " + std::to_string(len));
   }
+  const FrameScan scan = ScanFrames(bytes);
+  ASSERT_GE(scan.payloads.size(), 2u);
+  for (size_t f = 1; f < scan.payloads.size(); ++f) {
+    const size_t boundary = static_cast<size_t>(
+        scan.payloads[f].data() - WalWriter::kHeaderBytes - bytes.data());
+    ExpectCorruption(std::string_view(bytes).substr(0, boundary),
+                     "cut before frame " + std::to_string(f));
+  }
+}
+
+/// Writes `frames` as one framed file and returns its image.
+std::string FramedImage(const std::vector<std::string>& frames) {
+  const std::string path = TempPath("framed.catalog");
+  auto w = WalWriter::Create(path, WalOptions{WalSyncPolicy::kOnPublish});
+  EXPECT_TRUE(w.ok());
+  for (const std::string& f : frames) EXPECT_TRUE(w->Append(f).ok());
+  std::string bytes = ReadFileToString(path).value();
+  std::remove(path.c_str());
+  return bytes;
+}
+
+std::string HeaderFrame(uint32_t magic, uint32_t version, uint64_t count) {
+  Writer w;
+  w.PutU32(magic);
+  w.PutU32(version);
+  w.PutU64(0);
+  w.PutVarint(count);
+  return w.Take();
+}
+
+std::string SegmentFrame(const CatalogSegment& s) {
+  Writer w;
+  EncodeCatalogSegment(s, &w);
+  return w.Take();
 }
 
 TEST(SerializerProperty, TrailingGarbageAndBadMagicAreTypedCorruption) {
   Catalog catalog = RandomCatalog(7);
-  std::string bytes = catalog.Serialize();
+  const std::string bytes = FileImage(catalog);
+  ASSERT_TRUE(Catalog::TryDecode(bytes).ok());
 
-  std::string trailing = bytes + "zz";
-  auto r1 = Catalog::TryDeserialize(trailing);
-  ASSERT_FALSE(r1.ok());
-  EXPECT_EQ(r1.status().code(), api::StatusCode::kCorruption);
+  // Unframed bytes, and a whole extra (valid) frame, after the last one.
+  ExpectCorruption(bytes + "zz", "trailing garbage");
+  const std::string seg = SegmentFrame(catalog.segments()[0]);
+  ExpectCorruption(FramedImage({HeaderFrame(Catalog::kMagic,
+                                            Catalog::kVersion, 1),
+                                seg, seg}),
+                   "a frame past the header's count");
+  ExpectCorruption(FramedImage({HeaderFrame(Catalog::kMagic,
+                                            Catalog::kVersion, 2),
+                                seg}),
+                   "fewer frames than the header's count");
 
-  std::string bad_magic = bytes;
-  bad_magic[0] ^= 0x40;
-  auto r2 = Catalog::TryDeserialize(bad_magic);
-  ASSERT_FALSE(r2.ok());
-  EXPECT_EQ(r2.status().code(), api::StatusCode::kCorruption);
+  // Well-framed headers (every CRC verifies) that are still wrong.
+  ExpectCorruption(FramedImage({HeaderFrame(Catalog::kMagic ^ 0x40,
+                                            Catalog::kVersion, 1),
+                                seg}),
+                   "bad magic");
+  ExpectCorruption(FramedImage({HeaderFrame(Catalog::kMagic, 1, 1), seg}),
+                   "old version");
+  ExpectCorruption(FramedImage({HeaderFrame(Catalog::kMagic,
+                                            Catalog::kVersion, 1) + "x",
+                                seg}),
+                   "trailing bytes in the header frame");
+  ExpectCorruption(FramedImage({HeaderFrame(Catalog::kMagic,
+                                            Catalog::kVersion, 1),
+                                seg + "x"}),
+                   "trailing bytes in a segment frame");
+  ExpectCorruption(FramedImage({HeaderFrame(Catalog::kMagic,
+                                            Catalog::kVersion, 1),
+                                seg.substr(0, seg.size() / 2)}),
+                   "a segment frame that does not decode");
+  ExpectCorruption("", "an empty file");
+
+  // A checksum is not a signature: a well-framed segment may still claim
+  // more OGs than its bytes hold, and must not allocate for the claim.
+  Writer huge;
+  huge.PutString("cam");
+  huge.PutU32(80);
+  huge.PutU32(60);
+  huge.PutU64(10);
+  EncodeBackgroundGraph(core::BackgroundGraph{}, &huge);
+  huge.PutVarint(1ull << 40);
+  ExpectCorruption(FramedImage({HeaderFrame(Catalog::kMagic,
+                                            Catalog::kVersion, 1),
+                                huge.Take()}),
+                   "an OG count beyond the frame");
+
+  // The unframed catalog of earlier builds: [u32 magic][u32 version 1]...
+  // read as a frame header, its magic is a length beyond kMaxRecordBytes.
+  Writer old;
+  old.PutU32(Catalog::kMagic);
+  old.PutU32(1);
+  old.PutVarint(0);
+  ExpectCorruption(old.bytes(), "an unframed version-1 catalog");
 }
 
 TEST(SerializerProperty, RandomByteFlipsNeverCrashDecode) {
-  Catalog catalog = RandomCatalog(11);
-  std::string bytes = catalog.Serialize();
+  const std::string bytes = FileImage(RandomCatalog(11));
   Rng rng(99);
   for (int trial = 0; trial < 200; ++trial) {
     std::string damaged = bytes;
@@ -222,81 +356,43 @@ TEST(SerializerProperty, RandomByteFlipsNeverCrashDecode) {
         rng.Uniform(0, static_cast<double>(damaged.size() - 1)));
     damaged[pos] ^= static_cast<char>(1 + static_cast<int>(
                         rng.Uniform(0, 254)));
-    // A flipped byte may still decode (the flat format checksums nothing
-    // past the magic — the WAL and page file own integrity). The contract
-    // here: failure is always a typed status, success is well-formed.
-    auto r = Catalog::TryDeserialize(damaged);
-    if (!r.ok()) {
+    // Every byte is covered by a frame's checksum or is a frame's length
+    // or checksum field, so any flip is caught before decoding.
+    ExpectCorruption(damaged, "flip at byte " + std::to_string(pos));
+  }
+}
+
+TEST(SerializerProperty, LoadOfCorruptOrMissingFileIsTypedStatus) {
+  const std::string path = TempPath("corrupt.catalog");
+  ASSERT_TRUE(RandomCatalog(3).TrySaveToFile(path, 5).ok());
+  const std::string pristine = ReadFileToString(path).value();
+
+  // Flip one byte inside each frame in turn (its length field, its
+  // checksum, its payload); each damaged file loads as kCorruption.
+  const FrameScan scan = ScanFrames(pristine);
+  ASSERT_GE(scan.payloads.size(), 2u);
+  for (size_t f = 0; f < scan.payloads.size(); ++f) {
+    const size_t start = static_cast<size_t>(
+        scan.payloads[f].data() - WalWriter::kHeaderBytes - pristine.data());
+    for (size_t offset : {size_t{0}, size_t{5}, WalWriter::kHeaderBytes}) {
+      std::string damaged = pristine;
+      damaged[start + offset] ^= 0x3C;
+      FILE* out = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(out, nullptr);
+      ASSERT_EQ(std::fwrite(damaged.data(), 1, damaged.size(), out),
+                damaged.size());
+      std::fclose(out);
+      auto r = Catalog::TryLoadFromFile(path);
+      ASSERT_FALSE(r.ok()) << "frame " << f << " offset " << offset;
       EXPECT_EQ(r.status().code(), api::StatusCode::kCorruption);
-    } else {
-      EXPECT_LE(r.value().NumSegments(), 1000u);
+      EXPECT_NE(r.status().message().find(path), std::string::npos)
+          << r.status().message();
     }
-  }
-}
-
-TEST(SerializerProperty, RandomizedCatalogsRoundTripPaged) {
-  StorageParams params;
-  params.paged = true;
-  params.page_size = 256;
-  params.cache_bytes = 16 * 256;
-  params.cache_shards = 2;
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    Catalog catalog = RandomCatalog(seed);
-    std::string path = ::testing::TempDir() + "/serializer_prop_paged.pages";
-    std::remove(path.c_str());
-
-    uint64_t user_data = 0xC0FFEE00 + seed;
-    ASSERT_TRUE(catalog.TrySaveToPagedFile(path, params, user_data).ok());
-    uint64_t got_user_data = 0;
-    auto back = Catalog::TryLoadFromPagedFile(path, params, &got_user_data);
-    ASSERT_TRUE(back.ok()) << back.status().message();
-    EXPECT_EQ(got_user_data, user_data);
-    ExpectSameCatalog(catalog, back.value());
-    EXPECT_EQ(back.value().Serialize(), catalog.Serialize());
-    std::remove(path.c_str());
-  }
-}
-
-TEST(SerializerProperty, PagedLoadOfCorruptFileIsTypedStatus) {
-  StorageParams params;
-  params.paged = true;
-  params.page_size = 256;
-  std::string path = ::testing::TempDir() + "/serializer_prop_corrupt.pages";
-  std::remove(path.c_str());
-  Catalog catalog = RandomCatalog(3);
-  ASSERT_TRUE(catalog.TrySaveToPagedFile(path, params, 0).ok());
-
-  // Flip one byte in every page in turn; each damaged copy must load as a
-  // typed error (kCorruption from the page CRC).
-  std::string pristine;
-  {
-    FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      pristine.append(buf, n);
-    }
-    std::fclose(f);
-  }
-  ASSERT_GE(pristine.size(), 2 * params.page_size);
-  for (size_t page = 0; page * params.page_size < pristine.size(); ++page) {
-    std::string damaged = pristine;
-    damaged[page * params.page_size + 20] ^= 0x3C;
-    FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(damaged.data(), 1, damaged.size(), f),
-              damaged.size());
-    std::fclose(f);
-    auto r = Catalog::TryLoadFromPagedFile(path, params);
-    ASSERT_FALSE(r.ok()) << "page " << page << " corruption went unnoticed";
-    EXPECT_EQ(r.status().code(), api::StatusCode::kCorruption);
   }
 
   // Missing file is kNotFound, not kCorruption.
   std::remove(path.c_str());
-  auto missing = Catalog::TryLoadFromPagedFile(path, params);
+  auto missing = Catalog::TryLoadFromFile(path);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), api::StatusCode::kNotFound);
 }

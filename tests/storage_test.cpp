@@ -5,6 +5,7 @@
 
 #include "core/persistence.h"
 #include "storage/catalog.h"
+#include "storage/file_io.h"
 #include "storage/serializer.h"
 #include "util/random.h"
 #include "video/scenes.h"
@@ -136,7 +137,14 @@ TEST(Catalog, SerializeDeserializeRoundTrip) {
   seg.background.rag.AddNode(bg_attr);
   catalog.AddSegment(seg);
 
-  Catalog back = Catalog::TryDeserialize(catalog.Serialize()).value();
+  // Serialize to the catalog file, deserialize its bytes with the pure
+  // decoder.
+  std::string path = ::testing::TempDir() + "/strg_catalog_serialize.bin";
+  ASSERT_TRUE(catalog.TrySaveToFile(path, 77).ok());
+  uint64_t user_data = 0;
+  Catalog back =
+      Catalog::TryDecode(ReadFileToString(path).value(), &user_data).value();
+  EXPECT_EQ(user_data, 77u);
   ASSERT_EQ(back.NumSegments(), 1u);
   EXPECT_EQ(back.TotalOgs(), 2u);
   const CatalogSegment& s = back.segments()[0];
@@ -144,14 +152,20 @@ TEST(Catalog, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(s.num_frames, 500u);
   EXPECT_EQ(s.background.rag.NumNodes(), 1u);
   EXPECT_EQ(s.ogs[0].start_frame, 42);
+  std::remove(path.c_str());
 }
 
 TEST(Catalog, RejectsBadMagicAndTrailingBytes) {
-  EXPECT_FALSE(Catalog::TryDeserialize("garbage-bytes").ok());
-  Catalog catalog;
-  std::string bytes = catalog.Serialize();
+  EXPECT_EQ(Catalog::TryDecode("garbage-bytes").status().code(),
+            api::StatusCode::kCorruption);
+  std::string path = ::testing::TempDir() + "/strg_catalog_trailing.bin";
+  ASSERT_TRUE(Catalog{}.TrySaveToFile(path).ok());
+  std::string bytes = ReadFileToString(path).value();
+  ASSERT_TRUE(Catalog::TryDecode(bytes).ok());
   bytes += "x";
-  EXPECT_FALSE(Catalog::TryDeserialize(bytes).ok());
+  EXPECT_EQ(Catalog::TryDecode(bytes).status().code(),
+            api::StatusCode::kCorruption);
+  std::remove(path.c_str());
 }
 
 TEST(Catalog, FileRoundTrip) {
@@ -162,10 +176,16 @@ TEST(Catalog, FileRoundTrip) {
   catalog.AddSegment(seg);
 
   std::string path = ::testing::TempDir() + "/strg_catalog_test.bin";
+  std::remove(path.c_str());
+  EXPECT_EQ(Catalog::TryLoadFromFile(path).status().code(),
+            api::StatusCode::kNotFound);
   ASSERT_TRUE(catalog.TrySaveToFile(path).ok());
   Catalog back = Catalog::TryLoadFromFile(path).value();
   EXPECT_EQ(back.NumSegments(), 1u);
   EXPECT_EQ(back.segments()[0].video_name, "file-test");
+  // Saving again replaces the file rather than appending to it.
+  ASSERT_TRUE(back.TrySaveToFile(path).ok());
+  EXPECT_EQ(Catalog::TryLoadFromFile(path).value().NumSegments(), 1u);
   std::remove(path.c_str());
 }
 
@@ -186,8 +206,11 @@ TEST(Persistence, DatabaseSurvivesSaveAndRestore) {
 
   Catalog catalog;
   catalog.AddSegment(ToCatalogSegment("lab", segment));
-  Catalog reloaded = Catalog::TryDeserialize(catalog.Serialize()).value();
-  VideoDatabase restored = RestoreVideoDatabase(reloaded, ip);
+  std::string path = ::testing::TempDir() + "/strg_persistence_test.bin";
+  ASSERT_TRUE(catalog.TrySaveToFile(path).ok());
+  Catalog reloaded = Catalog::TryLoadFromFile(path).value();
+  std::remove(path.c_str());
+  VideoDatabase restored(reloaded, ip);
 
   EXPECT_EQ(restored.NumVideos(), original.NumVideos());
   EXPECT_EQ(restored.NumObjectGraphs(), original.NumObjectGraphs());

@@ -19,7 +19,9 @@
 #include <vector>
 
 #include "server/durable_engine.h"
+#include "storage/catalog.h"
 #include "storage/crc32c.h"
+#include "storage/file_io.h"
 #include "storage/wal.h"
 #include "synth/generator.h"
 
@@ -564,12 +566,11 @@ TEST(DurableEngine, RecoverySweepsEveryOrphanTmpFile) {
     auto e = MustOpen(dir, SmallEngine());
     ASSERT_TRUE(e->AddVideo("lab", fx.segment).ok());
   }
-  // Strew several orphaned temp files around: the flat snapshot tmp, the
-  // paged snapshot tmp, and an arbitrary one — a crashed compaction of any
-  // vintage. All must be swept, whatever mode the engine reopens in.
+  // Strew several orphaned temp files around: the snapshot tmp, the paged
+  // snapshot tmp older builds wrote, and an arbitrary one — a crashed
+  // compaction of any vintage. All must be swept.
   for (const std::string& path :
-       {DurableQueryEngine::SnapshotTmpPath(dir),
-        DurableQueryEngine::PagedSnapshotTmpPath(dir),
+       {DurableQueryEngine::SnapshotTmpPath(dir), dir + "/catalog.pages.tmp",
         dir + "/stray-download.tmp"}) {
     std::ofstream tmp(path, std::ios::binary);
     tmp << "orphan";
@@ -578,7 +579,7 @@ TEST(DurableEngine, RecoverySweepsEveryOrphanTmpFile) {
   auto e = MustOpen(dir, SmallEngine());
   EXPECT_TRUE(e->recovery().removed_orphan_tmp);
   EXPECT_FALSE(fs::exists(DurableQueryEngine::SnapshotTmpPath(dir)));
-  EXPECT_FALSE(fs::exists(DurableQueryEngine::PagedSnapshotTmpPath(dir)));
+  EXPECT_FALSE(fs::exists(dir + "/catalog.pages.tmp"));
   EXPECT_FALSE(fs::exists(dir + "/stray-download.tmp"));
   EXPECT_EQ(e->Generation(), 1u);
 }
@@ -641,9 +642,9 @@ TEST(DurableEngine, PagedModeRecoversThroughCompactionAndReopen) {
     EXPECT_GE(e->engine().metrics().wal_compactions.load(), 1u);
     before = Answers(*e, fx);
   }
-  // Compaction published the snapshot as a page file, not a flat blob.
-  ASSERT_TRUE(fs::exists(DurableQueryEngine::PagedSnapshotPath(dir)));
-  ASSERT_FALSE(fs::exists(DurableQueryEngine::SnapshotPath(dir)));
+  // Compaction published the same catalog.snap RAM mode writes.
+  ASSERT_TRUE(fs::exists(DurableQueryEngine::SnapshotPath(dir)));
+  ASSERT_FALSE(fs::exists(dir + "/catalog.pages"));
 
   auto e = MustOpen(dir, PagedEngine(/*compact_every=*/4));
   EXPECT_EQ(e->recovery().snapshot_segments, 1u);
@@ -665,14 +666,140 @@ TEST(DurableEngine, PagedCrashAfterTmpSnapshotWriteIsCleanedUp) {
     e->set_fail_point(FailPoint::kAfterSnapshotTmpWrite);
     EXPECT_FALSE(e->Compact().ok());
   }
-  ASSERT_TRUE(fs::exists(DurableQueryEngine::PagedSnapshotTmpPath(dir)));
-  ASSERT_FALSE(fs::exists(DurableQueryEngine::PagedSnapshotPath(dir)));
+  ASSERT_TRUE(fs::exists(DurableQueryEngine::SnapshotTmpPath(dir)));
+  ASSERT_FALSE(fs::exists(DurableQueryEngine::SnapshotPath(dir)));
 
   auto e = MustOpen(dir, PagedEngine());
   EXPECT_TRUE(e->recovery().removed_orphan_tmp);
-  EXPECT_FALSE(fs::exists(DurableQueryEngine::PagedSnapshotTmpPath(dir)));
+  EXPECT_FALSE(fs::exists(DurableQueryEngine::SnapshotTmpPath(dir)));
   EXPECT_EQ(e->Generation(), 1u);
   ExpectSameAnswers(before, Answers(*e, fx));
+}
+
+TEST(DurableEngine, SnapshotSurvivesStorageModeSwitch) {
+  // One catalog.snap format in both modes: a directory compacted in one
+  // mode reopens in the other with every acked OG, the same generation and
+  // the same answers — and can switch back.
+  for (bool paged_first : {true, false}) {
+    SCOPED_TRACE(paged_first ? "paged -> RAM -> paged" : "RAM -> paged -> RAM");
+    Fixture fx = MakeFixture(8, paged_first ? 61 : 67);
+    std::string dir = FreshDir(paged_first ? "switch_paged" : "switch_ram");
+    auto opts = [](bool paged) {
+      return paged ? PagedEngine() : SmallEngine();
+    };
+
+    std::vector<api::VideoDatabase::QueryHit> before;
+    uint64_t acked_gen = 0;
+    {
+      auto e = MustOpen(dir, opts(paged_first));
+      int segment_id = -1;
+      ASSERT_TRUE(e->AddVideo("lab", fx.segment, &segment_id).ok());
+      for (size_t i = 0; i < 3; ++i) {
+        auto g = e->AddObjectGraph(segment_id, "lab", fx.stream[i],
+                                   synth::SynthScaling());
+        ASSERT_TRUE(g.ok()) << g.status().ToString();
+        acked_gen = g.value();
+      }
+      ASSERT_TRUE(e->Compact().ok());
+      before = Answers(*e, fx);
+    }
+    ASSERT_EQ(fs::file_size(DurableQueryEngine::LogPath(dir)), 0u);
+
+    for (bool paged : {!paged_first, paged_first}) {
+      auto e = MustOpen(dir, opts(paged));
+      EXPECT_EQ(e->recovery().snapshot_segments, 1u);
+      EXPECT_EQ(e->recovery().snapshot_ogs, 8u + 3u);
+      EXPECT_EQ(e->recovery().replayed_records, 0u);
+      EXPECT_EQ(e->engine().snapshot()->db.NumObjectGraphs(), 8u + 3u);
+      EXPECT_EQ(e->Generation(), acked_gen);
+      EXPECT_EQ(e->paged_store() != nullptr, paged);
+      ExpectSameAnswers(before, Answers(*e, fx));
+    }
+  }
+}
+
+TEST(DurableEngine, EverySnapshotByteFlipIsCorruption) {
+  // Every byte of catalog.snap is covered by a frame checksum or is a
+  // frame's length or checksum field: flipping any one of them must make
+  // Open fail with kCorruption, never open with a different catalog.
+  Fixture fx = MakeFixture(2, 71);
+  std::string dir = FreshDir("snapflip");
+  {
+    auto e = MustOpen(dir, SmallEngine());
+    ASSERT_TRUE(e->AddVideo("lab", fx.segment).ok());
+    ASSERT_TRUE(e->Compact().ok());
+  }
+  const std::string snap = DurableQueryEngine::SnapshotPath(dir);
+  const std::string pristine = storage::ReadFileToString(snap).value();
+  ASSERT_GT(pristine.size(), 100u);
+  DurableEngineOptions opts = SmallEngine();
+  opts.engine.num_threads = 1;
+  for (size_t pos = 0; pos < pristine.size(); ++pos) {
+    std::string damaged = pristine;
+    damaged[pos] = static_cast<char>(damaged[pos] ^ (1 + pos % 255));
+    {
+      std::ofstream out(snap, std::ios::binary | std::ios::trunc);
+      out.write(damaged.data(), static_cast<std::streamsize>(damaged.size()));
+    }
+    auto e = DurableQueryEngine::Open(dir, FastIndex(), opts);
+    ASSERT_FALSE(e.ok()) << "flip at byte " << pos << " opened";
+    ASSERT_EQ(e.status().code(), api::StatusCode::kCorruption)
+        << "flip at byte " << pos << ": " << e.status().ToString();
+  }
+  {
+    std::ofstream out(snap, std::ios::binary | std::ios::trunc);
+    out.write(pristine.data(), static_cast<std::streamsize>(pristine.size()));
+  }
+  auto e = MustOpen(dir, SmallEngine());
+  EXPECT_EQ(e->engine().snapshot()->db.NumObjectGraphs(), 2u);
+}
+
+TEST(DurableEngine, LegacyPagedCatalogIsCorruptionAndKept) {
+  // Older builds published paged-mode snapshots as catalog.pages and reset
+  // the log. This build cannot read that file, and recovering from the
+  // (empty) log alone would silently lose every OG in it.
+  std::string dir = FreshDir("legacy_pages");
+  fs::create_directories(dir);
+  const std::string legacy = dir + "/catalog.pages";
+  {
+    std::ofstream out(legacy, std::ios::binary);
+    out << "STPG page file of an older build";
+  }
+  for (bool paged : {false, true}) {
+    auto e = DurableQueryEngine::Open(dir, FastIndex(),
+                                      paged ? PagedEngine() : SmallEngine());
+    ASSERT_FALSE(e.ok());
+    EXPECT_EQ(e.status().code(), api::StatusCode::kCorruption);
+    EXPECT_NE(e.status().message().find(legacy), std::string::npos)
+        << e.status().ToString();
+    EXPECT_TRUE(fs::exists(legacy));
+  }
+}
+
+TEST(DurableEngine, StaleSnapshotTmpIsReplacedNotAppended) {
+  // The catalog writer appends frames through a WalWriter, whose Open is
+  // O_APPEND: compaction must still start catalog.snap.tmp from empty
+  // when a crashed compaction's tmp (here longer than the new snapshot)
+  // is in the way.
+  Fixture fx = MakeFixture(8, 73);
+  std::string dir = FreshDir("staletmp");
+  auto e = MustOpen(dir, SmallEngine());
+  ASSERT_TRUE(e->AddVideo("lab", fx.segment).ok());
+  const std::string tmp = DurableQueryEngine::SnapshotTmpPath(dir);
+  {
+    std::ofstream out(tmp, std::ios::binary);
+    out << std::string(1 << 16, 'x');
+  }
+  e->set_fail_point(FailPoint::kAfterSnapshotTmpWrite);
+  EXPECT_FALSE(e->Compact().ok());
+
+  uint64_t applied_seq = 0;
+  auto written = storage::Catalog::TryLoadFromFile(tmp, &applied_seq);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(written.value().NumSegments(), 1u);
+  EXPECT_EQ(written.value().TotalOgs(), 8u);
+  EXPECT_EQ(applied_seq, 1u);
+  EXPECT_LT(fs::file_size(tmp), 1u << 16);
 }
 
 TEST(DurableEngine, MetricsJsonCarriesStorageBlock) {
