@@ -34,9 +34,8 @@
 //       Recover the durable state in <wal-dir> and export it as a catalog
 //       file usable by info/stats/query.
 //   strgtool stat <page-file>
-//       Audit a page file (e.g. <wal-dir>/store.pages) offline: header
-//       fields, page-type counts, free-list health, and live/dead record
-//       occupancy per record type.
+//       Audit a page file (e.g. <wal-dir>/store.pages) offline: page
+//       size, page counts by type, and the records it holds.
 //   strgtool simd
 //       Print the detected simd dispatch tier for the distance kernels and
 //       micro-time the point-distance batch and exact EGED DP on every tier
@@ -248,11 +247,6 @@ int Query(const std::string& path, const std::string& video, size_t og_index,
   return 0;
 }
 
-std::string RecordTypeName(uint8_t type) {
-  if (type == storage::kRecIndexNode) return "index-node";
-  return "type-" + std::to_string(type);
-}
-
 int Stat(const std::string& path) {
   auto computed = storage::ComputePageFileStats(path);
   if (!computed.ok()) {
@@ -264,32 +258,10 @@ int Stat(const std::string& path) {
   std::cout << "page file: " << path
             << "\npage size: " << s.page_size << " bytes"
             << "\npages: " << s.num_pages << " (" << s.data_pages << " data, "
-            << s.overflow_pages << " overflow, " << s.free_pages
-            << " free, 1 header) — "
+            << s.overflow_pages << " overflow, 1 header) — "
             << FormatBytes(s.num_pages * s.page_size) << " total"
-            << "\nfree list: " << s.free_list_len << " page(s) walked, "
-            << s.free_count << " claimed by header"
-            << (s.free_list_len == s.free_count ? "" : "  <-- MISMATCH")
-            << "\nroot record: ";
-  if (s.root == storage::PageFile::kNoRoot) {
-    std::cout << "(unset)";
-  } else {
-    std::cout << s.root << " (page " << (s.root >> 16) << " slot "
-              << (s.root & 0xFFFF) << ")";
-  }
-  std::cout << "\ndead slots: " << s.dead_slots << "\n";
-
-  Table table({"record type", "live records", "live bytes"});
-  for (const auto& t : s.by_type) {
-    table.AddRow({RecordTypeName(t.record_type),
-                  std::to_string(t.live_records),
-                  std::to_string(t.live_bytes)});
-  }
-  if (s.by_type.empty()) {
-    std::cout << "(no live records)\n";
-  } else {
-    table.Print(std::cout);
-  }
+            << "\nrecords: " << s.records << " (" << s.record_bytes
+            << " bytes)\n";
   return 0;
 }
 

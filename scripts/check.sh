@@ -2,10 +2,12 @@
 # Repo verification: tier-1 build + full test suite, then an AddressSanitizer
 # pass over the concurrency-sensitive tests (serving layer + thread pool +
 # the WAL crash-recovery matrix + the distance-kernel and parallel-ingest
-# equivalence suites), then a UBSan pass over the recovery-, distance- and
-# ingest-labeled tests (the durability layer does raw byte punning; the fast
-# EGED kernel does banded DP over raw row pointers; the mean-shift kernel
-# does integral-image index arithmetic — exactly where UB hides).
+# equivalence suites), then a UBSan pass over the recovery-, distance-,
+# ingest-, storage- and paging-labeled tests (the durability layer and the
+# pager do raw little-endian byte punning; the fast EGED kernel does banded
+# DP over raw row pointers; the mean-shift kernel does integral-image index
+# arithmetic — exactly where UB hides). UBSan builds with
+# -fno-sanitize-recover=undefined, so any report fails its test.
 # A dedicated `server` stage runs the server-labeled suites (sharded
 # scatter-gather, async runtime, metrics JSON, snapshot sharing) under ASan,
 # and — with STRG_CHECK_TSAN=1 — the cancellation/deadline race,
@@ -111,7 +113,7 @@ echo "== deadlock stage (STRG_DEADLOCK_CHECK=ON): runtime rank checker =="
 # Every Lock()/LockShared() is checked against the thread-local held-rank
 # stack: an inversion aborts with both rank names instead of deadlocking.
 # The death tests prove the aborts fire; the deep-chain stress drives the
-# longest legal chains (ingest -> writer -> paged store -> buffer cache,
+# longest legal chains (ingest -> writer -> paged store or buffer cache,
 # with live queries) with checking on.
 cmake -B build-deadlock -S . -DSTRG_DEADLOCK_CHECK=ON \
   -DSTRG_BUILD_BENCHMARKS=OFF -DSTRG_BUILD_EXAMPLES=OFF >/dev/null
@@ -127,10 +129,11 @@ else
 fi
 
 echo
-echo "== UBSan pass over recovery+distance+ingest-labeled tests (STRG_SANITIZE=undefined) =="
+echo "== UBSan pass over recovery+distance+ingest+storage+paging-labeled tests (STRG_SANITIZE=undefined) =="
 cmake --build build-ubsan -j --target wal_recovery_test distance_kernel_test \
-  ingest_parallel_test
-ctest --test-dir build-ubsan -L 'recovery|distance|ingest' --output-on-failure -j
+  ingest_parallel_test paging_test serializer_property_test
+ctest --test-dir build-ubsan -L 'recovery|distance|ingest|storage|paging' \
+  --output-on-failure -j
 
 echo
 echo "== simd stage: dispatch-tier equivalence under ASan + UBSan, both tiers =="
@@ -176,8 +179,8 @@ if [[ "${STRG_CHECK_TSAN:-0}" == "1" ]]; then
   # Server stage under TSan: scatter-gather legs racing cancellation,
   # deadlines, and a live writer — the exactly-once finalize CAS and the
   # tau-bound publication are the contested atomics. The deep-chain stress
-  # adds paged per-shard stores so the full ingest -> writer -> record
-  # store -> buffer cache lock chain runs under the race checker.
+  # adds paged per-shard stores so the ingest -> writer -> record store /
+  # buffer cache lock chains run under the race checker.
   ./build-tsan/tests/sharded_engine_test \
     --gtest_filter='ShardedEngine.CancellationAndDeadlineRaceIsClean:ShardedEngine.TauPruningFiresAndStaysExact:ShardedEngine.DeepLockChainStressWithLiveWriter'
   # The query path against its brute-force EgedMetric oracle, pooled-build
@@ -189,10 +192,11 @@ if [[ "${STRG_CHECK_TSAN:-0}" == "1" ]]; then
   # per-worker thread_local segmenter workspaces, and shot-parallel
   # ProcessFrames all race-checked while asserting bit-identical output.
   ./build-tsan/tests/ingest_parallel_test
-  # Buffer-cache pin/unpin + copy-on-write frame handoff race-checked while
-  # a writer rewrites pages under concurrent readers.
+  # The record store's tail page (read under the store mutex) and sealed
+  # pages (pinned through the cache without it) race-checked while a writer
+  # appends, seals pages and commits under concurrent readers.
   ./build-tsan/tests/paging_test \
-    --gtest_filter='BufferCache.ConcurrentPinUnpinWithWriterIsConsistent'
+    --gtest_filter='PagedRecordStore.ConcurrentReadsDuringAppendsAndCommits'
   # Parallel EM restarts with the bounded assigner engaged: each restart
   # owns its BoundedAssigner and ClusterStats, merged serially afterward —
   # TSan proves the per-restart state really is private while the test

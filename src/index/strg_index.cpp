@@ -5,6 +5,7 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "cluster/bic.h"
@@ -76,6 +77,7 @@ Record* CopyForWrite(std::shared_ptr<const Record>* slot) {
 /// and widest band a fetch allocates nothing. `band` never shrinks, which
 /// keeps the candidate pointers into it stable while a batch is built.
 struct FetchScratch {
+  std::string spill;  ///< record bytes the store copies out
   dist::Sequence seq;
   dist::FlatSequence flat;
   std::vector<dist::FlatSequence> band;
@@ -131,8 +133,7 @@ void StrgIndex::OffloadEntry(LeafEntry* entry) {
   if (params_.paged_store == nullptr) return;
   storage::Writer w;
   storage::EncodeSequence(entry->sequence, &w);
-  entry->record = params_.paged_store
-                      ->Append(storage::kRecIndexNode, w.bytes())
+  entry->record = params_.paged_store->Append(w.bytes())
                       .value();  // throws std::runtime_error on store failure
   entry->seq_len = static_cast<uint32_t>(entry->sequence.size());
   entry->summary =
@@ -146,7 +147,8 @@ void StrgIndex::FetchSequence(const LeafEntry& entry,
   // .value() throws std::runtime_error on a store failure — the index's
   // documented error contract for the paged query path.
   storage::PagedRecordStore::RecordRef ref =
-      params_.paged_store->Read(entry.record).value();
+      params_.paged_store->Read(entry.record, &ThreadFetchScratch().spill)
+          .value();
   storage::Reader r(ref.bytes());
   storage::DecodeSequence(&r, out);
 }

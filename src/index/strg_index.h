@@ -58,10 +58,11 @@ struct StrgIndexParams {
   /// it runs the cascade on that summary first and fetches, decodes and
   /// re-flattens (through the store's buffer cache) only the candidates it
   /// cannot prune — the ones that reach the DP. A fetch decodes into
-  /// per-thread scratch (one sequence and one flat form for kNN, a pool of
-  /// flat forms for a range query's band) that is reused across
-  /// candidates and queries, so a fetch of an inline record (one that
-  /// fits its page) that hits the cache allocates nothing. The decode is
+  /// per-thread scratch (the store's spill buffer, one sequence and one
+  /// flat form for kNN, a pool of flat forms for a range query's band) that
+  /// is reused across candidates and queries, so a fetch that hits the
+  /// cache allocates nothing, whether its record is inline or chained over
+  /// overflow pages. The decode is
   /// deterministic (fixed-width doubles), so hits, distances and every
   /// KnnResult counter are bit-identical to the in-RAM mode — only
   /// residency and page reads change. Centroids, keys, and covering radii

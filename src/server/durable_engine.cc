@@ -368,8 +368,8 @@ api::Status DurableQueryEngine::Sync() {
                                             std::memory_order_relaxed);
   if (!st.ok()) return st;
   if (og_store_ != nullptr) {
-    // Keep the on-disk page file self-describing (header page counts,
-    // flushed frames) for offline audits; recovery never reads it.
+    // Keep the on-disk page file self-describing (header page count, the
+    // tail page written) for offline audits; recovery never reads it.
     st = og_store_->Commit();
   }
   return st;

@@ -28,8 +28,8 @@ struct DurableEngineOptions {
   EngineOptions engine;
   /// Where the index's leaf sequences live (default off = all in RAM).
   /// With `storage.paged` set the engine keeps `store.pages` under the
-  /// durability directory: an ephemeral leaf-record store the index writes
-  /// through during rebuild/ingest, recreated at every Open. It holds no
+  /// durability directory: an ephemeral leaf-record store the index appends
+  /// to during rebuild/ingest, recreated at every Open. It holds no
   /// catalog payloads; durability comes from catalog.snap + wal.log, which
   /// are the same files in both modes, so a directory may be reopened with
   /// either setting.

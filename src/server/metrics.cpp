@@ -186,8 +186,6 @@ std::string ServerMetrics::ToJson(
   AppendCount(&out, cs.misses);
   out.append(",\"evictions\":");
   AppendCount(&out, cs.evictions);
-  out.append(",\"write_backs\":");
-  AppendCount(&out, cs.write_backs);
   out.append(",\"pinned_pages\":");
   AppendCount(&out, cs.pinned_pages);
   out.append(",\"hit_rate\":");

@@ -6,7 +6,7 @@
 
 namespace strg::storage {
 
-BufferCache::BufferCache(PageFile* file, uint64_t capacity_bytes,
+BufferCache::BufferCache(const PageFile* file, uint64_t capacity_bytes,
                          size_t shards)
     : file_(file) {
   const size_t n_shards = std::max<size_t>(1, shards);
@@ -72,18 +72,6 @@ void BufferCache::UnlinkLruLocked(Shard& s, size_t frame) {
   }
 }
 
-api::Status BufferCache::WriteBackLocked(Shard& s, size_t frame) {
-  Frame& f = s.frames[frame];
-  if (!f.dirty) return api::Status::Ok();
-  api::Status st = file_->WritePage(
-      f.page, f.type, f.next_page,
-      std::string_view(f.data.data(), f.payload_len));
-  if (!st.ok()) return st;
-  f.dirty = false;
-  write_backs_.fetch_add(1, std::memory_order_relaxed);
-  return api::Status::Ok();
-}
-
 api::StatusOr<size_t> BufferCache::ClaimFrameLocked(Shard& s) {
   if (!s.free_frames.empty()) {
     const size_t frame = s.free_frames.back();
@@ -96,10 +84,7 @@ api::StatusOr<size_t> BufferCache::ClaimFrameLocked(Shard& s) {
     const size_t frame = *it;
     Frame& f = s.frames[frame];
     if (f.pins != 0) continue;
-    api::Status st = WriteBackLocked(s, frame);
-    if (!st.ok()) return st;
     s.map.erase(f.page);
-    f.mapped = false;
     f.page = PageFile::kNoPage;
     UnlinkLruLocked(s, frame);
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -141,8 +126,6 @@ api::StatusOr<BufferCache::PageRef> BufferCache::Pin(uint32_t page_id) {
     f.next_page = view.next_page;
     f.payload_len = static_cast<uint32_t>(view.payload.size());
     std::memcpy(f.data.data(), view.payload.data(), view.payload.size());
-    f.dirty = false;
-    f.mapped = true;
     s.map[page_id] = frame;
   }
 
@@ -164,97 +147,8 @@ api::StatusOr<BufferCache::PageRef> BufferCache::Pin(uint32_t page_id) {
 void BufferCache::Unpin(size_t shard, size_t frame) {
   Shard& s = shards_[shard];
   MutexLock lock(s.mu);
-  Frame& f = s.frames[frame];
-  --f.pins;
+  --s.frames[frame].pins;
   pinned_.fetch_sub(1, std::memory_order_relaxed);
-  if (f.pins == 0 && !f.mapped) {
-    // Last pin on an orphaned frame (its page was rewritten or invalidated
-    // while we held it): the frame returns to the free pool.
-    f.page = PageFile::kNoPage;
-    f.dirty = false;
-    s.free_frames.push_back(frame);
-  }
-}
-
-api::Status BufferCache::Write(uint32_t page_id, uint8_t type,
-                               uint32_t next_page, std::string_view payload) {
-  if (payload.size() > file_->payload_capacity()) {
-    return api::Status::InvalidArgument(
-        "buffer cache: payload exceeds page capacity");
-  }
-  Shard& s = shard_of(page_id);
-  MutexLock lock(s.mu);
-
-  auto it = s.map.find(page_id);
-  if (it != s.map.end() && s.frames[it->second].pins == 0) {
-    // In place: nobody can observe the bytes mid-update (readers must pin
-    // under this same lock first).
-    Frame& f = s.frames[it->second];
-    f.type = type;
-    f.next_page = next_page;
-    f.payload_len = static_cast<uint32_t>(payload.size());
-    std::memcpy(f.data.data(), payload.data(), payload.size());
-    f.dirty = true;
-    TouchLocked(s, it->second);
-    return api::Status::Ok();
-  }
-
-  // Copy-on-write: the resident frame is pinned (live readers hold views of
-  // its bytes), so fill a fresh frame and remap the page. The old frame is
-  // orphaned — off the map and the LRU — and is reclaimed at last Unpin.
-  api::StatusOr<size_t> claimed = ClaimFrameLocked(s);
-  if (!claimed.ok()) return claimed.status();
-  const size_t frame = claimed.value();
-
-  if (it != s.map.end()) {
-    Frame& old = s.frames[it->second];
-    old.mapped = false;
-    old.dirty = false;  // superseded; its bytes must never be written back
-    UnlinkLruLocked(s, it->second);
-    s.map.erase(it);
-  }
-
-  Frame& f = s.frames[frame];
-  f.page = page_id;
-  f.type = type;
-  f.next_page = next_page;
-  f.payload_len = static_cast<uint32_t>(payload.size());
-  std::memcpy(f.data.data(), payload.data(), payload.size());
-  f.dirty = true;
-  f.mapped = true;
-  s.map[page_id] = frame;
-  TouchLocked(s, frame);
-  return api::Status::Ok();
-}
-
-api::Status BufferCache::FlushAll() {
-  for (Shard& s : shards_) {
-    MutexLock lock(s.mu);
-    for (size_t frame = 0; frame < s.frames.size(); ++frame) {
-      if (!s.frames[frame].mapped) continue;
-      api::Status st = WriteBackLocked(s, frame);
-      if (!st.ok()) return st;
-    }
-  }
-  return api::Status::Ok();
-}
-
-void BufferCache::Invalidate(uint32_t page_id) {
-  Shard& s = shard_of(page_id);
-  MutexLock lock(s.mu);
-  auto it = s.map.find(page_id);
-  if (it == s.map.end()) return;
-  const size_t frame = it->second;
-  Frame& f = s.frames[frame];
-  f.mapped = false;
-  f.dirty = false;  // freed page: its contents are dead, never write back
-  UnlinkLruLocked(s, frame);
-  s.map.erase(it);
-  if (f.pins == 0) {
-    f.page = PageFile::kNoPage;
-    s.free_frames.push_back(frame);
-  }
-  // else: orphaned; the last Unpin returns it to the free pool.
 }
 
 BufferCacheStats BufferCache::stats() const {
@@ -262,7 +156,6 @@ BufferCacheStats BufferCache::stats() const {
   st.hits = hits_.load(std::memory_order_relaxed);
   st.misses = misses_.load(std::memory_order_relaxed);
   st.evictions = evictions_.load(std::memory_order_relaxed);
-  st.write_backs = write_backs_.load(std::memory_order_relaxed);
   st.pinned_pages = pinned_.load(std::memory_order_relaxed);
   return st;
 }

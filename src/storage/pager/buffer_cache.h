@@ -22,7 +22,6 @@ struct BufferCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  uint64_t write_backs = 0;
   uint64_t pinned_pages = 0;
 
   double HitRate() const {
@@ -33,8 +32,13 @@ struct BufferCacheStats {
   }
 };
 
-/// Sharded LRU buffer cache over page frames — the RAM half of the
-/// out-of-core engine.
+/// Sharded, read-only LRU buffer cache over page frames — the RAM half of
+/// the out-of-core engine.
+///
+/// Read-only: the cache only ever holds sealed pages, whose bytes never
+/// change once written (PagedRecordStore keeps its unsealed tail page out
+/// of the cache), so a frame never goes stale, is never dirty, and
+/// eviction simply drops it. Nothing writes through the cache.
 ///
 /// Budget: the cache allocates max(shards, capacity_bytes / page_size)
 /// fixed frames at construction and never grows, so resident page memory is
@@ -43,25 +47,13 @@ struct BufferCacheStats {
 /// page->frame map, and its LRU list under one strg::Mutex.
 ///
 /// Pin protocol: Pin() returns an RAII PageRef whose view stays valid until
-/// it is destroyed; a pinned frame is never evicted and never mutated.
-/// Writes to a page whose frame is currently pinned go to a *fresh* frame
-/// and remap the page (frame-granularity copy-on-write): live readers keep
-/// their old, immutable view, new readers see the new bytes. The old frame
-/// is orphaned — unmapped but pinned — and returns to the free pool when
-/// its last pin drops. This is what makes concurrent query reads race-free
-/// against writer appends without a reader-writer lock on the bytes.
-///
-/// Eviction: strict LRU over unpinned resident frames; a dirty victim is
-/// written back to the PageFile first (write_backs counter). When every
-/// frame is pinned, Pin fails with kOverloaded — the cache budget is a hard
-/// bound, so the caller sheds load instead of silently growing.
-///
-/// Validity mask: Invalidate(page) unmaps a freed page's frame (without
-/// write-back — the page's contents are dead); a pinned frame is orphaned
-/// exactly as in the copy-on-write path.
+/// it is destroyed; a pinned frame is never evicted. Eviction is strict LRU
+/// over unpinned resident frames. When every frame of a shard is pinned,
+/// Pin fails with kOverloaded — the cache budget is a hard bound, so the
+/// caller sheds load instead of silently growing.
 class BufferCache {
  public:
-  BufferCache(PageFile* file, uint64_t capacity_bytes, size_t shards);
+  BufferCache(const PageFile* file, uint64_t capacity_bytes, size_t shards);
 
   BufferCache(const BufferCache&) = delete;
   BufferCache& operator=(const BufferCache&) = delete;
@@ -80,7 +72,6 @@ class BufferCache {
     std::string_view payload() const { return payload_; }
     uint8_t type() const { return type_; }
     uint32_t next_page() const { return next_page_; }
-    bool valid() const { return cache_ != nullptr; }
 
    private:
     friend class BufferCache;
@@ -95,25 +86,11 @@ class BufferCache {
   };
 
   /// Pins `page_id` resident (reading it from the PageFile on a miss) and
-  /// returns a stable view. kOverloaded when every frame in the page's
-  /// shard is pinned (cache budget exhausted); I/O and CRC failures pass
-  /// through from PageFile::ReadPage.
+  /// returns a stable view. The page must be sealed: its bytes may not
+  /// change while the cache can hold it. kOverloaded when every frame in
+  /// the page's shard is pinned (cache budget exhausted); I/O and CRC
+  /// failures pass through from PageFile::ReadPage.
   api::StatusOr<PageRef> Pin(uint32_t page_id) STRG_EXCLUDES_DYNAMIC(Shard::mu);
-
-  /// Writes a page *through the cache*: the frame is updated (or COW-swapped
-  /// if pinned) and marked dirty; bytes reach the PageFile at eviction or
-  /// FlushAll. The caller must serialize writes to the same page (the
-  /// record store's writer mutex does).
-  api::Status Write(uint32_t page_id, uint8_t type, uint32_t next_page,
-                    std::string_view payload) STRG_EXCLUDES_DYNAMIC(Shard::mu);
-
-  /// Write-back of every dirty resident frame (fsync is the PageFile
-  /// owner's job — Sync there after flushing here).
-  api::Status FlushAll() STRG_EXCLUDES_DYNAMIC(Shard::mu);
-
-  /// Drops `page_id` from the cache without write-back (the page was
-  /// freed); live pins keep their orphaned frame until released.
-  void Invalidate(uint32_t page_id) STRG_EXCLUDES_DYNAMIC(Shard::mu);
 
   BufferCacheStats stats() const STRG_EXCLUDES_DYNAMIC(Shard::mu);
 
@@ -125,8 +102,6 @@ class BufferCache {
   struct Frame {
     uint32_t page = PageFile::kNoPage;  ///< kNoPage: free slot
     uint32_t pins = 0;
-    bool dirty = false;
-    bool mapped = false;  ///< in the shard map (false: free or orphaned)
     uint8_t type = 0;
     uint32_t next_page = PageFile::kNoPage;
     uint32_t payload_len = 0;
@@ -138,7 +113,7 @@ class BufferCache {
     std::unordered_map<uint32_t, size_t> map STRG_GUARDED_BY(mu);
     std::vector<Frame> frames STRG_GUARDED_BY(mu);
     /// Free frame indices (never resident) + LRU list of resident frames,
-    /// most-recent first. Orphaned frames appear in neither.
+    /// most-recent first.
     std::vector<size_t> free_frames STRG_GUARDED_BY(mu);
     std::list<size_t> lru STRG_GUARDED_BY(mu);
     std::unordered_map<size_t, std::list<size_t>::iterator> lru_pos
@@ -149,23 +124,21 @@ class BufferCache {
     return shards_[page_id % shards_.size()];
   }
 
-  /// Claims a writable frame: a free slot, else the LRU unpinned resident
-  /// frame (written back if dirty, then unmapped). Returns the frame index
-  /// or an error when all frames are pinned.
+  /// Claims a frame for a missed page: a free slot, else the LRU unpinned
+  /// resident frame (unmapped). Returns the frame index or kOverloaded when
+  /// all frames are pinned.
   api::StatusOr<size_t> ClaimFrameLocked(Shard& s) STRG_REQUIRES(s.mu);
   void TouchLocked(Shard& s, size_t frame) STRG_REQUIRES(s.mu);
   void UnlinkLruLocked(Shard& s, size_t frame) STRG_REQUIRES(s.mu);
-  api::Status WriteBackLocked(Shard& s, size_t frame) STRG_REQUIRES(s.mu);
   void Unpin(size_t shard, size_t frame);
 
-  PageFile* const file_;
+  const PageFile* const file_;
   size_t num_frames_ = 0;
   std::vector<Shard> shards_;
 
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
   mutable std::atomic<uint64_t> evictions_{0};
-  mutable std::atomic<uint64_t> write_backs_{0};
   mutable std::atomic<uint64_t> pinned_{0};
 };
 

@@ -100,9 +100,6 @@ api::StatusOr<std::unique_ptr<PageFile>> PageFile::Open(
     r.GetU32();  // version
     r.GetU32();  // page_size
     file->num_pages_.store(r.GetU64(), std::memory_order_relaxed);
-    file->free_head_ = r.GetU32();
-    file->free_count_ = r.GetU64();
-    file->root_ = r.GetU64();
   } catch (const std::out_of_range&) {
     return api::Status::Corruption("page file: truncated header payload: " +
                                    path);
@@ -143,8 +140,10 @@ api::Status PageFile::WritePage(uint32_t page_id, uint8_t type,
   frame[kTypeOff] = static_cast<char>(type);
   PutLe32(frame.data() + kNextOff, next_page);
   PutLe32(frame.data() + kLenOff, static_cast<uint32_t>(payload.size()));
-  std::memcpy(frame.data() + kPageHeaderBytes, payload.data(),
-              payload.size());
+  if (!payload.empty()) {
+    std::memcpy(frame.data() + kPageHeaderBytes, payload.data(),
+                payload.size());
+  }
   PutLe32(frame.data() + kCrcOff,
           Crc32c(frame.data() + kTypeOff, page_size_ - kTypeOff));
   return WriteRaw(page_id, frame.data());
@@ -192,41 +191,12 @@ api::Status PageFile::ReadPage(uint32_t page_id, PageView* out) const {
 }
 
 api::StatusOr<uint32_t> PageFile::Allocate() {
-  if (free_head_ != kNoPage) {
-    const uint32_t page = free_head_;
-    PageView view;
-    api::Status st = ReadPage(page, &view);
-    if (!st.ok()) return st;
-    if (view.type != kFreePage) {
-      return api::Status::Corruption("page file: free list points at a "
-                                     "non-free page " + std::to_string(page));
-    }
-    free_head_ = view.next_page;
-    --free_count_;
-    return page;
-  }
-  const uint64_t page = num_pages_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t page = num_pages();
   if (page > kNoPage - 2) {
     return api::Status::InvalidArgument("page file: page id space exhausted");
   }
-  // Materialize the page now so a torn crash leaves a CRC-valid (empty)
-  // page rather than a hole.
-  api::Status st = WritePage(static_cast<uint32_t>(page), kFreePage, kNoPage,
-                             {});
-  if (!st.ok()) return st;
+  num_pages_.store(page + 1, std::memory_order_relaxed);
   return static_cast<uint32_t>(page);
-}
-
-api::Status PageFile::Free(uint32_t page_id) {
-  if (page_id == 0 || page_id >= num_pages()) {
-    return api::Status::InvalidArgument("page file: cannot free page " +
-                                        std::to_string(page_id));
-  }
-  api::Status st = WritePage(page_id, kFreePage, free_head_, {});
-  if (!st.ok()) return st;
-  free_head_ = page_id;
-  ++free_count_;
-  return api::Status::Ok();
 }
 
 api::Status PageFile::WriteHeader() {
@@ -235,15 +205,10 @@ api::Status PageFile::WriteHeader() {
   w.PutU32(kVersion);
   w.PutU32(static_cast<uint32_t>(page_size_));
   w.PutU64(num_pages());
-  w.PutU32(free_head_);
-  w.PutU64(free_count_);
-  w.PutU64(root_);
   return WritePage(0, kHeaderPage, kNoPage, w.bytes());
 }
 
-api::Status PageFile::Sync() {
-  api::Status st = WriteHeader();
-  if (!st.ok()) return st;
+api::Status PageFile::Sync() const {
   if (::fsync(fd_) != 0) return Errno("page file: fsync of", path_);
   return api::Status::Ok();
 }

@@ -13,12 +13,12 @@ namespace strg::storage {
 
 /// Fixed-size-page file — the on-disk half of the out-of-core engine.
 ///
-/// File layout: page 0 is the header page; pages 1..num_pages-1 are data,
-/// overflow, or free pages. Every page carries the same 16-byte header:
+/// File layout: page 0 is the header page; pages 1..num_pages-1 are data or
+/// overflow pages. Every page carries the same 16-byte header:
 ///
 ///     [u32 crc32c over bytes 4..page_size)   -- torn-write detection
 ///     [u8  page type][u8 x 3 reserved]
-///     [u32 next_page]    -- overflow chain / free list link (kNoPage: none)
+///     [u32 next_page]    -- overflow chain link (kNoPage: none)
 ///     [u32 payload_len]  -- used payload bytes
 ///     [payload ... zero-padded to page_size]
 ///
@@ -27,29 +27,28 @@ namespace strg::storage {
 /// validation as kCorruption instead of parsing garbage — the same contract
 /// the WAL gives its records, via the same storage::Crc32c.
 ///
-/// The header page's payload records magic/version/page_size, the allocator
-/// state (num_pages, free list head + count), and one caller-owned root
-/// locator (the record id of the PagedRecordStore's root record).
+/// The header page's payload records magic, version, page size and page
+/// count. Allocation only extends the file: Allocate hands out the next
+/// page id and writes nothing, and the owner writes each page once its
+/// contents are final.
 ///
 /// Concurrency: ReadPage is safe from any thread (positional pread; the
-/// bounds check reads an atomic page count). All mutation — Allocate, Free,
-/// WritePage, WriteHeader, set_root, Sync — must be externally serialized
-/// by the owner (PagedRecordStore holds them under its mutex), mirroring
-/// how WalWriter is owned by one writer protocol.
+/// bounds check reads an atomic page count), and so is Sync. Allocate,
+/// WritePage and WriteHeader must be externally serialized by the owner
+/// (PagedRecordStore holds them under its mutex), mirroring how WalWriter
+/// is owned by one writer protocol.
 class PageFile {
  public:
   static constexpr uint32_t kMagic = 0x53545047;  // "STPG"
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
   static constexpr uint32_t kNoPage = 0xFFFFFFFFu;
   static constexpr size_t kPageHeaderBytes = 16;
   static constexpr size_t kMinPageSize = 64;
-  static constexpr uint64_t kNoRoot = ~0ull;
 
   enum PageType : uint8_t {
     kHeaderPage = 1,
     kDataPage = 2,
     kOverflowPage = 3,
-    kFreePage = 4,
   };
 
   /// One decoded page: type, chain link, and the used payload bytes.
@@ -80,20 +79,10 @@ class PageFile {
   uint64_t num_pages() const {
     return num_pages_.load(std::memory_order_relaxed);
   }
-  uint32_t free_head() const { return free_head_; }
-  uint64_t free_count() const { return free_count_; }
 
-  /// Caller-owned root locator, persisted in the header page on Sync().
-  uint64_t root() const { return root_; }
-  void set_root(uint64_t root) { root_ = root; }
-
-  /// Hands out a page id: pops the free list if possible, otherwise extends
-  /// the file. The caller must WritePage it before it is readable.
+  /// Hands out the next page id by extending the file's page count. The
+  /// page reads as garbage until the caller WritePages it.
   api::StatusOr<uint32_t> Allocate();
-
-  /// Returns a page to the free list (writes it as a kFreePage linking to
-  /// the previous head).
-  api::Status Free(uint32_t page_id);
 
   /// Frames `payload` into a full page image (type + link + CRC, zero
   /// padding) and writes it at `page_id`.
@@ -104,11 +93,11 @@ class PageFile {
   /// kCorruption; a short read past the allocated range is kIoError.
   api::Status ReadPage(uint32_t page_id, PageView* out) const;
 
-  /// Persists the header page (allocator state + root locator).
+  /// Writes the header page (page size and page count).
   api::Status WriteHeader();
 
-  /// WriteHeader + fsync: everything written so far is on stable storage.
-  api::Status Sync();
+  /// fsync: every page written so far is on stable storage.
+  api::Status Sync() const;
 
  private:
   PageFile() = default;
@@ -121,9 +110,6 @@ class PageFile {
   /// Atomic so concurrent readers can bounds-check while the (serialized)
   /// writer extends the file; monotone, relaxed is enough.
   std::atomic<uint64_t> num_pages_{0};
-  uint32_t free_head_ = kNoPage;
-  uint64_t free_count_ = 0;
-  uint64_t root_ = kNoRoot;
 };
 
 }  // namespace strg::storage

@@ -10,11 +10,10 @@ namespace strg::storage {
 
 namespace {
 
-// Slot header: [u8 record_type][u8 flags][u32 len], then len bytes.
-constexpr size_t kSlotHeaderBytes = 6;
+// Slot header: [u8 flags][u32 len], then len bytes.
+constexpr size_t kSlotHeaderBytes = 5;
 constexpr uint8_t kInline = 0;
 constexpr uint8_t kChained = 1;
-constexpr uint8_t kDead = 2;
 
 // Chained-slot stub payload: [u32 overflow head page][u64 total length].
 constexpr size_t kChainStubBytes = 12;
@@ -28,23 +27,62 @@ uint32_t SlotOf(uint64_t record_id) {
   return static_cast<uint32_t>(record_id & kMaxSlot);
 }
 
-/// Walks the slot sequence in `payload` to slot `slot`. Returns the byte
-/// offset of its header, or SIZE_MAX when the page has fewer slots.
-size_t FindSlot(std::string_view payload, uint32_t slot) {
-  size_t off = 0;
-  for (uint32_t i = 0; i < slot; ++i) {
-    if (off + kSlotHeaderBytes > payload.size()) return SIZE_MAX;
-    off += kSlotHeaderBytes + GetLe32(payload.data() + off + 2);
+/// One slot of a data page.
+struct Slot {
+  uint8_t flags = 0;
+  std::string_view bytes;  ///< the record, or its chain stub
+};
+
+enum class SlotWalk { kSlot, kEnd, kBad };
+
+/// Decodes the slot at byte `*off` of a data page's payload into `*out` and
+/// advances `*off` past it. kEnd past the last slot; kBad when the slot
+/// overruns the page or carries a malformed stub.
+SlotWalk NextSlot(std::string_view payload, size_t* off, Slot* out) {
+  if (*off + kSlotHeaderBytes > payload.size()) return SlotWalk::kEnd;
+  out->flags = static_cast<uint8_t>(payload[*off]);
+  const size_t len = GetLe32(payload.data() + *off + 1);
+  if (len > payload.size() - *off - kSlotHeaderBytes ||
+      out->flags > kChained ||
+      (out->flags == kChained && len != kChainStubBytes)) {
+    return SlotWalk::kBad;
   }
-  if (off + kSlotHeaderBytes > payload.size()) return SIZE_MAX;
-  return off;
+  out->bytes = payload.substr(*off + kSlotHeaderBytes, len);
+  *off += kSlotHeaderBytes + len;
+  return SlotWalk::kSlot;
 }
+
+/// Walks `payload` to slot `slot`: kNotFound when the page has fewer
+/// slots, kCorruption when a slot on the way is malformed.
+api::StatusOr<Slot> FindSlot(std::string_view payload, uint32_t page,
+                             uint32_t slot) {
+  size_t off = 0;
+  Slot out;
+  for (uint32_t i = 0; i <= slot; ++i) {
+    switch (NextSlot(payload, &off, &out)) {
+      case SlotWalk::kSlot:
+        break;
+      case SlotWalk::kEnd:
+        return api::Status::NotFound("record store: no slot " +
+                                     std::to_string(slot) + " on page " +
+                                     std::to_string(page));
+      case SlotWalk::kBad:
+        return api::Status::Corruption("record store: bad slot " +
+                                       std::to_string(i) + " on page " +
+                                       std::to_string(page));
+    }
+  }
+  return out;
+}
+
+uint64_t ChainLength(const char* stub) { return GetLe64(stub + 4); }
 
 }  // namespace
 
-api::StatusOr<std::unique_ptr<PagedRecordStore>> PagedRecordStore::Wrap(
-    api::StatusOr<std::unique_ptr<PageFile>> file,
-    const StorageParams& params) {
+api::StatusOr<std::unique_ptr<PagedRecordStore>> PagedRecordStore::Create(
+    const std::string& path, const StorageParams& params) {
+  api::StatusOr<std::unique_ptr<PageFile>> file =
+      PageFile::Create(path, params.page_size);
   if (!file.ok()) return file.status();
   std::unique_ptr<PagedRecordStore> store(new PagedRecordStore());
   store->file_ = std::move(file).value();
@@ -53,153 +91,92 @@ api::StatusOr<std::unique_ptr<PagedRecordStore>> PagedRecordStore::Wrap(
   return store;
 }
 
-api::StatusOr<std::unique_ptr<PagedRecordStore>> PagedRecordStore::Create(
-    const std::string& path, const StorageParams& params) {
-  return Wrap(PageFile::Create(path, params.page_size), params);
-}
-
-api::StatusOr<std::unique_ptr<PagedRecordStore>> PagedRecordStore::Open(
-    const std::string& path, const StorageParams& params) {
-  return Wrap(PageFile::Open(path), params);
-}
-
 api::Status PagedRecordStore::RollTailLocked() {
+  const uint32_t tail = tail_page_.load(std::memory_order_relaxed);
+  if (tail != PageFile::kNoPage) {
+    api::Status st =
+        file_->WritePage(tail, PageFile::kDataPage, PageFile::kNoPage,
+                         tail_buf_);
+    if (!st.ok()) return st;
+  }
   api::StatusOr<uint32_t> page = file_->Allocate();
   if (!page.ok()) return page.status();
-  tail_page_ = page.value();
-  tail_slots_ = 0;
   tail_buf_.clear();
+  tail_slots_ = 0;
+  // Release: a reader that sees the new tail id also sees the old tail's
+  // page on disk, so it may pin it.
+  tail_page_.store(page.value(), std::memory_order_release);
   return api::Status::Ok();
 }
 
 api::StatusOr<uint32_t> PagedRecordStore::WriteOverflowChainLocked(
     std::string_view bytes) {
   const size_t cap = file_->payload_capacity();
-  const size_t n_pages = (bytes.size() + cap - 1) / cap;
-
-  // Allocate the whole chain up front so each page can link forward.
-  std::vector<uint32_t> pages(n_pages);
-  for (size_t i = 0; i < n_pages; ++i) {
-    api::StatusOr<uint32_t> page = file_->Allocate();
-    if (!page.ok()) return page.status();
-    pages[i] = page.value();
-  }
-  for (size_t i = 0; i < n_pages; ++i) {
-    const size_t off = i * cap;
+  api::StatusOr<uint32_t> head = file_->Allocate();
+  if (!head.ok()) return head.status();
+  uint32_t page = head.value();
+  for (size_t off = 0; off < bytes.size(); off += cap) {
     const size_t len = std::min(cap, bytes.size() - off);
-    const uint32_t next =
-        i + 1 < n_pages ? pages[i + 1] : PageFile::kNoPage;
-    api::Status st = cache_->Write(pages[i], PageFile::kOverflowPage, next,
-                                   bytes.substr(off, len));
+    uint32_t next = PageFile::kNoPage;
+    if (off + len < bytes.size()) {
+      api::StatusOr<uint32_t> allocated = file_->Allocate();
+      if (!allocated.ok()) return allocated.status();
+      next = allocated.value();
+    }
+    api::Status st = file_->WritePage(page, PageFile::kOverflowPage, next,
+                                      bytes.substr(off, len));
     if (!st.ok()) return st;
+    page = next;
   }
-  return pages[0];
+  return head;
 }
 
-api::StatusOr<uint64_t> PagedRecordStore::Append(uint8_t record_type,
-                                                 std::string_view bytes) {
+api::StatusOr<uint64_t> PagedRecordStore::Append(std::string_view bytes) {
   MutexLock lock(mu_);
   const size_t cap = file_->payload_capacity();
 
   const bool inlined = kSlotHeaderBytes + bytes.size() <= cap;
-  const size_t slot_payload =
-      inlined ? bytes.size() : kChainStubBytes;
+  const size_t slot_len = inlined ? bytes.size() : kChainStubBytes;
 
-  if (tail_page_ == PageFile::kNoPage ||
-      tail_buf_.size() + kSlotHeaderBytes + slot_payload > cap ||
+  if (tail_page_.load(std::memory_order_relaxed) == PageFile::kNoPage ||
+      tail_buf_.size() + kSlotHeaderBytes + slot_len > cap ||
       tail_slots_ > kMaxSlot) {
     api::Status st = RollTailLocked();
     if (!st.ok()) return st;
   }
 
-  std::string stub;
+  char stub[kChainStubBytes] = {};
   std::string_view slot_bytes = bytes;
   if (!inlined) {
     api::StatusOr<uint32_t> head = WriteOverflowChainLocked(bytes);
     if (!head.ok()) return head.status();
-    stub.resize(kChainStubBytes);
-    PutLe32(stub.data(), head.value());
-    // Total length, little-endian u64 (two u32 halves keeps the helper set
-    // small).
-    PutLe32(stub.data() + 4, static_cast<uint32_t>(bytes.size()));
-    PutLe32(stub.data() + 8, static_cast<uint32_t>(bytes.size() >> 32));
-    slot_bytes = stub;
+    PutLe32(stub, head.value());
+    PutLe32(stub + 4, static_cast<uint32_t>(bytes.size()));
+    PutLe32(stub + 8, static_cast<uint32_t>(bytes.size() >> 32));
+    slot_bytes = std::string_view(stub, kChainStubBytes);
   }
 
+  const uint64_t page = tail_page_.load(std::memory_order_relaxed);
   const uint32_t slot = tail_slots_;
   const size_t off = tail_buf_.size();
   tail_buf_.resize(off + kSlotHeaderBytes + slot_bytes.size());
-  tail_buf_[off] = static_cast<char>(record_type);
-  tail_buf_[off + 1] = static_cast<char>(inlined ? kInline : kChained);
-  PutLe32(tail_buf_.data() + off + 2,
+  tail_buf_[off] = static_cast<char>(inlined ? kInline : kChained);
+  PutLe32(tail_buf_.data() + off + 1,
           static_cast<uint32_t>(slot_bytes.size()));
-  std::memcpy(tail_buf_.data() + off + kSlotHeaderBytes, slot_bytes.data(),
-              slot_bytes.size());
+  if (!slot_bytes.empty()) {
+    std::memcpy(tail_buf_.data() + off + kSlotHeaderBytes, slot_bytes.data(),
+                slot_bytes.size());
+  }
   ++tail_slots_;
-
-  api::Status st = cache_->Write(tail_page_, PageFile::kDataPage,
-                                 PageFile::kNoPage, tail_buf_);
-  if (!st.ok()) return st;
-  return (static_cast<uint64_t>(tail_page_) << 16) | slot;
+  return (page << 16) | slot;
 }
 
-api::StatusOr<PagedRecordStore::RecordRef> PagedRecordStore::Read(
-    uint64_t record_id) {
-  if (record_id == kNoRecord) {
-    return api::Status::InvalidArgument("record store: read of kNoRecord");
-  }
-  const uint32_t page = PageOf(record_id);
-  const uint32_t slot = SlotOf(record_id);
-
-  api::StatusOr<BufferCache::PageRef> pin = cache_->Pin(page);
-  if (!pin.ok()) return pin.status();
-  BufferCache::PageRef ref = std::move(pin).value();
-  if (ref.type() != PageFile::kDataPage) {
-    return api::Status::NotFound("record store: page " + std::to_string(page) +
-                                 " holds no records");
-  }
-  const std::string_view payload = ref.payload();
-  const size_t off = FindSlot(payload, slot);
-  if (off == SIZE_MAX) {
-    return api::Status::NotFound("record store: no slot " +
-                                 std::to_string(slot) + " on page " +
-                                 std::to_string(page));
-  }
-  const uint8_t type = static_cast<uint8_t>(payload[off]);
-  const uint8_t flags = static_cast<uint8_t>(payload[off + 1]);
-  const uint32_t len = GetLe32(payload.data() + off + 2);
-  if (off + kSlotHeaderBytes + len > payload.size()) {
-    return api::Status::Corruption("record store: slot overruns page " +
-                                   std::to_string(page));
-  }
-  if (flags == kDead) {
-    return api::Status::NotFound("record store: record " +
-                                 std::to_string(record_id) + " was deleted");
-  }
-
-  RecordRef out;
-  out.type_ = type;
-  if (flags == kInline) {
-    out.pin_ = std::move(ref);
-    out.offset_ = off + kSlotHeaderBytes;
-    out.len_ = len;
-    return out;
-  }
-  if (flags != kChained || len != kChainStubBytes) {
-    return api::Status::Corruption("record store: bad slot flags on page " +
-                                   std::to_string(page));
-  }
-
-  // Chained: assemble the overflow pages into an owned buffer, releasing
-  // each pin as soon as its chunk is copied.
-  const char* stub = payload.data() + off + kSlotHeaderBytes;
+api::Status PagedRecordStore::ReadChain(const char* stub,
+                                        std::string* spill) {
+  const uint64_t total = ChainLength(stub);
+  spill->clear();
   uint32_t next = GetLe32(stub);
-  const uint64_t total = static_cast<uint64_t>(GetLe32(stub + 4)) |
-                         (static_cast<uint64_t>(GetLe32(stub + 8)) << 32);
-  ref = BufferCache::PageRef();  // drop the data-page pin before chasing
-
-  out.owned_.reserve(total);
-  while (next != PageFile::kNoPage && out.owned_.size() < total) {
+  while (next != PageFile::kNoPage && spill->size() < total) {
     api::StatusOr<BufferCache::PageRef> chunk = cache_->Pin(next);
     if (!chunk.ok()) return chunk.status();
     if (chunk.value().type() != PageFile::kOverflowPage) {
@@ -207,49 +184,49 @@ api::StatusOr<PagedRecordStore::RecordRef> PagedRecordStore::Read(
           "record store: overflow chain hit a non-overflow page " +
           std::to_string(next));
     }
-    out.owned_.append(chunk.value().payload());
+    spill->append(chunk.value().payload());
     next = chunk.value().next_page();
   }
-  if (out.owned_.size() != total) {
-    return api::Status::Corruption("record store: overflow chain for record " +
-                                   std::to_string(record_id) +
-                                   " is short: got " +
-                                   std::to_string(out.owned_.size()) +
-                                   " of " + std::to_string(total) + " bytes");
-  }
-  out.offset_ = 0;
-  out.len_ = out.owned_.size();
-  return out;
-}
-
-api::Status PagedRecordStore::FreeOverflowChainLocked(uint32_t head) {
-  uint32_t next = head;
-  while (next != PageFile::kNoPage) {
-    uint32_t following;
-    {
-      api::StatusOr<BufferCache::PageRef> pin = cache_->Pin(next);
-      if (!pin.ok()) return pin.status();
-      following = pin.value().next_page();
-    }  // unpin before invalidating
-    cache_->Invalidate(next);
-    api::Status st = file_->Free(next);
-    if (!st.ok()) return st;
-    next = following;
+  if (spill->size() != total) {
+    return api::Status::Corruption(
+        "record store: overflow chain is short: got " +
+        std::to_string(spill->size()) + " of " + std::to_string(total) +
+        " bytes");
   }
   return api::Status::Ok();
 }
 
-api::Status PagedRecordStore::Delete(uint64_t record_id) {
-  MutexLock lock(mu_);
+api::StatusOr<PagedRecordStore::RecordRef> PagedRecordStore::Read(
+    uint64_t record_id, std::string* spill) {
+  if (record_id == kNoRecord) {
+    return api::Status::InvalidArgument("record store: read of kNoRecord");
+  }
   const uint32_t page = PageOf(record_id);
   const uint32_t slot = SlotOf(record_id);
+  RecordRef out;
+  char stub[kChainStubBytes] = {};
+  bool stub_from_tail = false;
 
-  // Snapshot the page bytes (the tail page's truth is tail_buf_; any other
-  // page's is the cache/file).
-  std::string payload;
-  if (page == tail_page_) {
-    payload = tail_buf_;
-  } else {
+  if (page == tail_page_.load(std::memory_order_acquire)) {
+    MutexLock lock(mu_);
+    // Recheck: the tail may have been sealed since the load above, and
+    // then its page is read like any other sealed page.
+    if (page == tail_page_.load(std::memory_order_relaxed)) {
+      api::StatusOr<Slot> found = FindSlot(tail_buf_, page, slot);
+      if (!found.ok()) return found.status();
+      if (found.value().flags == kInline) {
+        spill->assign(found.value().bytes);
+        out.bytes_ = *spill;
+        return out;
+      }
+      // Only the stub is on the tail page; the overflow pages are sealed,
+      // so the chain is read below, without the store mutex.
+      std::memcpy(stub, found.value().bytes.data(), kChainStubBytes);
+      stub_from_tail = true;
+    }
+  }
+
+  if (!stub_from_tail) {
     api::StatusOr<BufferCache::PageRef> pin = cache_->Pin(page);
     if (!pin.ok()) return pin.status();
     if (pin.value().type() != PageFile::kDataPage) {
@@ -257,56 +234,36 @@ api::Status PagedRecordStore::Delete(uint64_t record_id) {
                                    std::to_string(page) +
                                    " holds no records");
     }
-    payload = std::string(pin.value().payload());
-  }
-
-  const size_t off = FindSlot(payload, slot);
-  if (off == SIZE_MAX) {
-    return api::Status::NotFound("record store: no slot " +
-                                 std::to_string(slot) + " on page " +
-                                 std::to_string(page));
-  }
-  const uint8_t flags = static_cast<uint8_t>(payload[off + 1]);
-  if (flags == kDead) return api::Status::Ok();  // idempotent
-  if (flags == kChained) {
-    const char* stub = payload.data() + off + kSlotHeaderBytes;
-    api::Status st = FreeOverflowChainLocked(GetLe32(stub));
-    if (!st.ok()) return st;
-  }
-  payload[off + 1] = static_cast<char>(kDead);
-
-  // A page with nothing live left (and not still being appended to) goes
-  // back to the allocator.
-  bool any_live = false;
-  for (size_t p = 0; p + kSlotHeaderBytes <= payload.size();
-       p += kSlotHeaderBytes + GetLe32(payload.data() + p + 2)) {
-    if (static_cast<uint8_t>(payload[p + 1]) != kDead) {
-      any_live = true;
-      break;
+    api::StatusOr<Slot> found = FindSlot(pin.value().payload(), page, slot);
+    if (!found.ok()) return found.status();
+    if (found.value().flags == kInline) {
+      out.bytes_ = found.value().bytes;
+      out.pin_ = std::move(pin).value();
+      return out;
     }
-  }
-  if (!any_live && page != tail_page_) {
-    cache_->Invalidate(page);
-    return file_->Free(page);
-  }
+    std::memcpy(stub, found.value().bytes.data(), kChainStubBytes);
+  }  // the data-page pin drops before the chain is chased
 
-  if (page == tail_page_) tail_buf_ = payload;
-  return cache_->Write(page, PageFile::kDataPage, PageFile::kNoPage, payload);
+  api::Status st = ReadChain(stub, spill);
+  if (!st.ok()) return st;
+  out.bytes_ = *spill;
+  return out;
 }
 
 api::Status PagedRecordStore::Commit() {
-  MutexLock lock(mu_);
-  api::Status st = cache_->FlushAll();
-  if (!st.ok()) return st;
+  {
+    MutexLock lock(mu_);
+    const uint32_t tail = tail_page_.load(std::memory_order_relaxed);
+    if (tail != PageFile::kNoPage) {
+      api::Status st = file_->WritePage(tail, PageFile::kDataPage,
+                                        PageFile::kNoPage, tail_buf_);
+      if (!st.ok()) return st;
+    }
+    api::Status st = file_->WriteHeader();
+    if (!st.ok()) return st;
+  }
   return file_->Sync();
 }
-
-void PagedRecordStore::SetRoot(uint64_t record_id) {
-  MutexLock lock(mu_);
-  file_->set_root(record_id);
-}
-
-uint64_t PagedRecordStore::Root() const { return file_->root(); }
 
 api::StatusOr<PageFileStats> ComputePageFileStats(const std::string& path) {
   api::StatusOr<std::unique_ptr<PageFile>> open = PageFile::Open(path);
@@ -316,74 +273,35 @@ api::StatusOr<PageFileStats> ComputePageFileStats(const std::string& path) {
   PageFileStats stats;
   stats.page_size = file->page_size();
   stats.num_pages = file->num_pages();
-  stats.free_count = file->free_count();
-  stats.root = file->root();
-
-  // live_bytes for chained records is credited when the stub is seen (the
-  // stub's total length covers the overflow pages).
-  uint64_t occupancy[256][2] = {};  // [record_type] -> {count, bytes}
 
   for (uint64_t p = 1; p < stats.num_pages; ++p) {
     PageFile::PageView view;
     api::Status st = file->ReadPage(static_cast<uint32_t>(p), &view);
     if (!st.ok()) return st;
-    switch (view.type) {
-      case PageFile::kOverflowPage:
-        ++stats.overflow_pages;
-        break;
-      case PageFile::kFreePage:
-        ++stats.free_pages;
-        break;
-      case PageFile::kDataPage: {
-        ++stats.data_pages;
-        const std::string& pl = view.payload;
-        for (size_t off = 0; off + kSlotHeaderBytes <= pl.size();
-             off += kSlotHeaderBytes + GetLe32(pl.data() + off + 2)) {
-          const uint8_t type = static_cast<uint8_t>(pl[off]);
-          const uint8_t flags = static_cast<uint8_t>(pl[off + 1]);
-          const uint32_t len = GetLe32(pl.data() + off + 2);
-          if (flags == kDead) {
-            ++stats.dead_slots;
-          } else if (flags == kChained && len == kChainStubBytes) {
-            const char* stub = pl.data() + off + kSlotHeaderBytes;
-            ++occupancy[type][0];
-            occupancy[type][1] +=
-                static_cast<uint64_t>(GetLe32(stub + 4)) |
-                (static_cast<uint64_t>(GetLe32(stub + 8)) << 32);
-          } else {
-            ++occupancy[type][0];
-            occupancy[type][1] += len;
-          }
-        }
-        break;
-      }
-      default:
-        return api::Status::Corruption("page file: unexpected page type " +
-                                       std::to_string(view.type) +
-                                       " at page " + std::to_string(p));
+    if (view.type == PageFile::kOverflowPage) {
+      ++stats.overflow_pages;
+      continue;
     }
-  }
-
-  // Walk the free list to cross-check the header's count.
-  uint32_t next = file->free_head();
-  while (next != PageFile::kNoPage &&
-         stats.free_list_len <= stats.num_pages) {
-    PageFile::PageView view;
-    api::Status st = file->ReadPage(next, &view);
-    if (!st.ok()) return st;
-    if (view.type != PageFile::kFreePage) {
-      return api::Status::Corruption(
-          "page file: free list points at a non-free page " +
-          std::to_string(next));
+    if (view.type != PageFile::kDataPage) {
+      return api::Status::Corruption("page file: unexpected page type " +
+                                     std::to_string(view.type) +
+                                     " at page " + std::to_string(p));
     }
-    ++stats.free_list_len;
-    next = view.next_page;
-  }
-
-  for (int t = 0; t < 256; ++t) {
-    if (occupancy[t][0] == 0) continue;
-    stats.by_type.push_back({static_cast<uint8_t>(t), occupancy[t][0],
-                             occupancy[t][1]});
+    ++stats.data_pages;
+    size_t off = 0;
+    Slot slot;
+    SlotWalk walk = SlotWalk::kEnd;
+    while ((walk = NextSlot(view.payload, &off, &slot)) == SlotWalk::kSlot) {
+      ++stats.records;
+      // A chained record's stub carries the length of its overflow chain.
+      stats.record_bytes += slot.flags == kChained
+                                ? ChainLength(slot.bytes.data())
+                                : slot.bytes.size();
+    }
+    if (walk == SlotWalk::kBad) {
+      return api::Status::Corruption("page file: bad slot on page " +
+                                     std::to_string(p));
+    }
   }
   return stats;
 }

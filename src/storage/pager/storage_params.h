@@ -8,10 +8,10 @@ namespace strg::storage {
 
 /// Where the index's leaf sequences live.
 ///
-/// `paged` off (the default) keeps them in RAM. `paged` on writes each
-/// leaf entry's OG sequence through a PagedRecordStore: a fixed-size-page
-/// file on disk fronted by a pinned LRU BufferCache whose resident memory
-/// is bounded by `cache_bytes`. No catalog payloads go into the store;
+/// `paged` off (the default) keeps them in RAM. `paged` on appends each
+/// leaf entry's OG sequence to a PagedRecordStore: an append-only
+/// fixed-size-page file on disk, read through a pinned LRU BufferCache
+/// whose resident memory is bounded by `cache_bytes`. No catalog payloads go into the store;
 /// the durable catalog is the same file in both modes (storage/catalog.h),
 /// so residency is a choice made at each open. Query and ingest results
 /// are bit-identical in both modes; only the residency of the bytes

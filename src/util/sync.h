@@ -109,10 +109,11 @@ namespace strg {
 /// The deepest legal chains today (see DESIGN.md §15 for the full graph):
 ///   write:  kIngestSharded -> kShardMap
 ///           kIngestSharded/kIngestDurable -> kEngineWriter
-///             -> kRecordStore -> kBufferCache, -> kSnapshot, -> kThreadPool
-///   query:  kGatherMerge / kRequestState / kSnapshot
-///           (taken one at a time along a leg; kRecordStore -> kBufferCache
-///           under a paged read)
+///             -> kRecordStore, -> kBufferCache, -> kSnapshot, -> kThreadPool
+///   query:  kGatherMerge / kRequestState / kSnapshot / kRecordStore /
+///           kBufferCache (taken one at a time along a leg; a paged read
+///           holds the store mutex only to copy a record off the tail page
+///           and pins sealed pages without it, so the two never nest)
 enum class LockRank : int {
   kUnranked = 0,        ///< exempt: test/example/scratch locks
   kIngestSharded = 100, ///< ShardedQueryEngine::ingest_mu_ (global write order)
@@ -121,7 +122,7 @@ enum class LockRank : int {
   kEngineWriter = 400,  ///< QueryEngine::writer_mu_ (clone-mutate-publish)
   kGatherMerge = 500,   ///< ShardedQueryEngine::Gather::merge_mu
   kRequestState = 700,  ///< RequestState::mu (completion rendezvous)
-  kRecordStore = 800,   ///< PagedRecordStore::mu_ (append/commit tail)
+  kRecordStore = 800,   ///< PagedRecordStore::mu_ (the tail page)
   kBufferCache = 900,   ///< BufferCache::Shard::mu (frame pin/evict)
   kSnapshot = 1000,     ///< SnapshotHolder::mu_ (epoch pointer; leaf)
   kThreadPool = 1100,   ///< ThreadPool::mutex_ (task queue)

@@ -1,8 +1,9 @@
 // ctest-labels: paging
 //
-// Out-of-core storage engine: page file format (CRC, allocator, free list),
-// buffer cache (LRU, pins, copy-on-write, write-back, overload), the paged
-// record layer (inline + overflow-chained records, delete, reopen, stats),
+// Out-of-core storage engine: page file format (CRC, append-only
+// allocation), the read-only buffer cache (LRU, pins, overload), the
+// append-only record store (inline + overflow-chained records, the tail
+// page kept out of the cache, appends and commits racing readers, stats),
 // and the acceptance contract that a paged index answers queries
 // bit-identically to the in-RAM index at every cache size, reading only the
 // candidates its resident lower bounds cannot prune, and allocating nothing
@@ -93,22 +94,29 @@ TEST(PageFile, CreateWriteReadReopen) {
   EXPECT_EQ(file->payload_capacity(), 256u - PageFile::kPageHeaderBytes);
   EXPECT_EQ(file->num_pages(), 1u);  // header page only
 
+  // Allocation only extends the file, one page id after the other.
   uint32_t p = file->Allocate().value();
   EXPECT_EQ(p, 1u);
+  EXPECT_EQ(file->Allocate().value(), 2u);
   ASSERT_TRUE(file->WritePage(p, PageFile::kDataPage, 7, "paged bytes").ok());
-  file->set_root(42);
+  // An empty payload (a null view) is a valid page.
+  ASSERT_TRUE(file->WritePage(2, PageFile::kOverflowPage, PageFile::kNoPage,
+                              std::string_view()).ok());
+  ASSERT_TRUE(file->WriteHeader().ok());
   ASSERT_TRUE(file->Sync().ok());
   file.reset();
 
   auto back = PageFile::Open(path).value();
   EXPECT_EQ(back->page_size(), 256u);
-  EXPECT_EQ(back->num_pages(), 2u);
-  EXPECT_EQ(back->root(), 42u);
+  EXPECT_EQ(back->num_pages(), 3u);
   PageFile::PageView view;
   ASSERT_TRUE(back->ReadPage(p, &view).ok());
   EXPECT_EQ(view.type, PageFile::kDataPage);
   EXPECT_EQ(view.next_page, 7u);
   EXPECT_EQ(view.payload, "paged bytes");
+  ASSERT_TRUE(back->ReadPage(2, &view).ok());
+  EXPECT_EQ(view.type, PageFile::kOverflowPage);
+  EXPECT_EQ(view.payload, "");
   std::remove(path.c_str());
 }
 
@@ -128,6 +136,7 @@ TEST(PageFile, TornDataPageIsCorruption) {
   uint32_t p = file->Allocate().value();
   ASSERT_TRUE(file->WritePage(p, PageFile::kDataPage, PageFile::kNoPage,
                               "torn-write victim").ok());
+  ASSERT_TRUE(file->WriteHeader().ok());
   ASSERT_TRUE(file->Sync().ok());
   file.reset();
 
@@ -148,48 +157,12 @@ TEST(PageFile, ReadPastAllocatedRangeFails) {
   std::remove(path.c_str());
 }
 
-TEST(PageFile, FreeListReusesPages) {
-  std::string path = TempPath("pf_freelist.pages");
-  auto file = PageFile::Create(path, 128).value();
-  uint32_t a = file->Allocate().value();
-  uint32_t b = file->Allocate().value();
-  ASSERT_TRUE(file->WritePage(a, PageFile::kDataPage, PageFile::kNoPage,
-                              "a").ok());
-  ASSERT_TRUE(file->WritePage(b, PageFile::kDataPage, PageFile::kNoPage,
-                              "b").ok());
-  EXPECT_EQ(file->free_count(), 0u);
-
-  ASSERT_TRUE(file->Free(a).ok());
-  EXPECT_EQ(file->free_count(), 1u);
-  EXPECT_EQ(file->free_head(), a);
-  // A freed page is written as kFreePage — readable, typed, CRC-valid.
-  PageFile::PageView view;
-  ASSERT_TRUE(file->ReadPage(a, &view).ok());
-  EXPECT_EQ(view.type, PageFile::kFreePage);
-
-  // The next allocation pops the free list instead of growing the file.
-  uint64_t pages_before = file->num_pages();
-  EXPECT_EQ(file->Allocate().value(), a);
-  EXPECT_EQ(file->num_pages(), pages_before);
-  EXPECT_EQ(file->free_count(), 0u);
-
-  // Free-list state survives reopen.
-  ASSERT_TRUE(file->Free(b).ok());
-  ASSERT_TRUE(file->Sync().ok());
-  file.reset();
-  auto back = PageFile::Open(path).value();
-  EXPECT_EQ(back->free_count(), 1u);
-  EXPECT_EQ(back->Allocate().value(), b);
-  std::remove(path.c_str());
-}
-
 // ------------------------------------------------------------- BufferCache
 
 /// A 2-frame single-shard cache over a file with `pages` pre-written pages
 /// (page i holds payload "page-<i>").
 struct SmallCacheFixture {
-  explicit SmallCacheFixture(const std::string& name, int pages,
-                             uint64_t frames = 2) {
+  explicit SmallCacheFixture(const std::string& name, int pages) {
     path = TempPath(name);
     file = PageFile::Create(path, 128).value();
     for (int i = 1; i <= pages; ++i) {
@@ -197,7 +170,7 @@ struct SmallCacheFixture {
       EXPECT_TRUE(file->WritePage(p, PageFile::kDataPage, PageFile::kNoPage,
                                   "page-" + std::to_string(i)).ok());
     }
-    cache = std::make_unique<BufferCache>(file.get(), frames * 128, 1);
+    cache = std::make_unique<BufferCache>(file.get(), 2 * 128, 1);
   }
   ~SmallCacheFixture() { std::remove(path.c_str()); }
 
@@ -251,103 +224,7 @@ TEST(BufferCache, PinnedFramesAreNeverEvictedAndOverloadWhenExhausted) {
   EXPECT_EQ(a.payload(), "page-1");  // survivor pin untouched
 }
 
-TEST(BufferCache, WriteBackPersistsDirtyFrames) {
-  SmallCacheFixture fx("bc_writeback.pages", 1);
-  ASSERT_TRUE(fx.cache->Write(1, PageFile::kDataPage, PageFile::kNoPage,
-                              "dirty bytes").ok());
-  // The write lives in the cache until flushed.
-  ASSERT_TRUE(fx.cache->FlushAll().ok());
-  EXPECT_EQ(fx.cache->stats().write_backs, 1u);
-  PageFile::PageView view;
-  ASSERT_TRUE(fx.file->ReadPage(1, &view).ok());
-  EXPECT_EQ(view.payload, "dirty bytes");
-}
-
-TEST(BufferCache, CopyOnWriteKeepsPinnedViewImmutable) {
-  SmallCacheFixture fx("bc_cow.pages", 2);
-  auto old_ref = fx.cache->Pin(1).value();
-  ASSERT_EQ(old_ref.payload(), "page-1");
-
-  // Writing a pinned page must not mutate the live reader's view: the
-  // bytes go to a fresh frame and the page is remapped.
-  ASSERT_TRUE(fx.cache->Write(1, PageFile::kDataPage, PageFile::kNoPage,
-                              "version-2").ok());
-  EXPECT_EQ(old_ref.payload(), "page-1");
-  auto new_ref = fx.cache->Pin(1).value();
-  EXPECT_EQ(new_ref.payload(), "version-2");
-
-  // The orphaned frame returns to the pool when its last pin drops; the
-  // shard then has room for a third resident page again.
-  old_ref = BufferCache::PageRef();
-  new_ref = BufferCache::PageRef();
-  EXPECT_TRUE(fx.cache->Pin(2).ok());
-  EXPECT_EQ(fx.cache->stats().pinned_pages, 0u);
-}
-
-TEST(BufferCache, InvalidateDropsWithoutWriteBack) {
-  SmallCacheFixture fx("bc_invalidate.pages", 2);
-  ASSERT_TRUE(fx.cache->Write(1, PageFile::kDataPage, PageFile::kNoPage,
-                              "never-persisted").ok());
-  fx.cache->Invalidate(1);
-  // The dirty bytes were dropped, not written back: the next pin reads the
-  // original disk contents.
-  auto ref = fx.cache->Pin(1).value();
-  EXPECT_EQ(ref.payload(), "page-1");
-  EXPECT_EQ(fx.cache->stats().write_backs, 0u);
-}
-
-TEST(BufferCache, ConcurrentPinUnpinWithWriterIsConsistent) {
-  // Readers hammer pins while a writer rewrites pages through the cache.
-  // Every observed payload must be one complete version — homogeneous
-  // repeated version characters — never a torn mix. Run under TSan/ASan by
-  // scripts/check.sh.
-  constexpr int kPages = 6;
-  constexpr int kVersions = 40;
-  constexpr size_t kLen = 64;
-  SmallCacheFixture fx("bc_threads.pages", kPages, /*frames=*/4);
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> failed{false};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&fx, &stop, &failed, t] {
-      Rng rng(1000 + t);
-      while (!stop.load(std::memory_order_relaxed)) {
-        uint32_t page = 1 + static_cast<uint32_t>(rng.Uniform(0, kPages - 1));
-        auto ref = fx.cache->Pin(page);
-        if (!ref.ok()) continue;  // all frames transiently pinned
-        std::string_view payload = ref.value().payload();
-        // Seed content ("page-N") predates the writer; versions written by
-        // the writer are kLen homogeneous bytes — a mixed view is a torn
-        // read through the pin protocol.
-        if (payload.size() != kLen) continue;
-        for (char c : payload) {
-          if (c != payload[0]) failed.store(true);
-        }
-      }
-    });
-  }
-
-  for (int v = 0; v < kVersions; ++v) {
-    std::string payload(kLen, static_cast<char>('a' + (v % 26)));
-    for (uint32_t page = 1; page <= kPages; ++page) {
-      ASSERT_TRUE(fx.cache->Write(page, PageFile::kDataPage,
-                                  PageFile::kNoPage, payload).ok());
-    }
-  }
-  stop.store(true);
-  for (auto& t : readers) t.join();
-  EXPECT_FALSE(failed.load());
-  EXPECT_EQ(fx.cache->stats().pinned_pages, 0u);
-  ASSERT_TRUE(fx.cache->FlushAll().ok());
-}
-
 // -------------------------------------------------------- PagedRecordStore
-
-/// Raw record tags: the store carries any u8 type and never interprets
-/// it, so these stand in for record kinds other than kRecIndexNode.
-constexpr uint8_t kTypeA = 1;
-constexpr uint8_t kTypeB = 2;
 
 StorageParams SmallStoreParams() {
   StorageParams p;
@@ -358,19 +235,37 @@ StorageParams SmallStoreParams() {
   return p;
 }
 
+uint64_t PageOfId(uint64_t record_id) { return record_id >> 16; }
+
+/// Appends filler records until the page holding `record_id` is sealed.
+void SealPageOf(PagedRecordStore* store, uint64_t record_id) {
+  while (PageOfId(store->Append(std::string(100, 'f')).value()) ==
+         PageOfId(record_id)) {
+  }
+}
+
 TEST(PagedRecordStore, InlineRoundTripPreservesBytesAndType) {
   std::string path = TempPath("prs_inline.pages");
   auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
-  uint64_t a = store->Append(kTypeA, "first record").value();
-  uint64_t b = store->Append(kTypeB, "second record").value();
+  std::string spill;
+  uint64_t a = store->Append("first record").value();
+  uint64_t b = store->Append("second record").value();
+  uint64_t empty = store->Append("").value();
   EXPECT_NE(a, b);
 
-  auto ra = store->Read(a).value();
+  // On the tail page: each read copies into the caller's spill buffer.
+  EXPECT_EQ(store->Read(a, &spill).value().bytes(), "first record");
+  EXPECT_EQ(store->Read(b, &spill).value().bytes(), "second record");
+  EXPECT_EQ(store->Read(empty, &spill).value().bytes(), "");
+
+  // Sealed: each read is a view of its pinned frame, so two refs stay
+  // valid side by side whatever the spill buffer holds.
+  SealPageOf(store.get(), a);
+  auto ra = store->Read(a, &spill).value();
+  auto rb = store->Read(b, &spill).value();
   EXPECT_EQ(ra.bytes(), "first record");
-  EXPECT_EQ(ra.record_type(), kTypeA);
-  auto rb = store->Read(b).value();
   EXPECT_EQ(rb.bytes(), "second record");
-  EXPECT_EQ(rb.record_type(), kTypeB);
+  EXPECT_EQ(store->Read(empty, &spill).value().bytes(), "");
   std::remove(path.c_str());
 }
 
@@ -381,128 +276,216 @@ TEST(PagedRecordStore, OverflowChainRoundTrip) {
   Rng rng(7);
   std::string big(2500, '\0');
   for (char& c : big) c = static_cast<char>(rng.Uniform(0, 255));
-  uint64_t id = store->Append(kRecIndexNode, big).value();
-  uint64_t small_id = store->Append(kTypeA, "tiny").value();
+  uint64_t id = store->Append(big).value();
+  uint64_t small_id = store->Append("tiny").value();
 
-  auto ref = store->Read(id).value();
-  EXPECT_EQ(ref.bytes(), big);
-  EXPECT_EQ(ref.record_type(), kRecIndexNode);
-  EXPECT_EQ(store->Read(small_id).value().bytes(), "tiny");
+  // The chain stub is on the tail page, then on a sealed one.
+  std::string spill;
+  EXPECT_EQ(store->Read(id, &spill).value().bytes(), big);
+  EXPECT_EQ(store->Read(small_id, &spill).value().bytes(), "tiny");
+  SealPageOf(store.get(), id);
+  EXPECT_EQ(store->Read(id, &spill).value().bytes(), big);
+  EXPECT_EQ(store->Read(small_id, &spill).value().bytes(), "tiny");
 
   ASSERT_TRUE(store->Commit().ok());
   PageFileStats stats = ComputePageFileStats(path).value();
   EXPECT_GE(stats.overflow_pages, 10u);
-  std::remove(path.c_str());
-}
-
-TEST(PagedRecordStore, DeleteFreesRecordAndOverflowChain) {
-  std::string path = TempPath("prs_delete.pages");
-  auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
-  std::string big(2000, 'x');
-  uint64_t chained = store->Append(kRecIndexNode, big).value();
-  uint64_t keeper = store->Append(kTypeA, "keep me").value();
-
-  ASSERT_TRUE(store->Delete(chained).ok());
-  auto gone = store->Read(chained);
-  ASSERT_FALSE(gone.ok());
-  EXPECT_EQ(gone.status().code(), api::StatusCode::kNotFound);
-  // The overflow chain went back to the allocator.
-  EXPECT_GE(store->file().free_count(), 8u);
-  // Unrelated records are untouched, and the freed pages are reusable.
-  EXPECT_EQ(store->Read(keeper).value().bytes(), "keep me");
-  uint64_t pages_before = store->file().num_pages();
-  uint64_t again = store->Append(kRecIndexNode, big).value();
-  EXPECT_EQ(store->file().num_pages(), pages_before);
-  EXPECT_EQ(store->Read(again).value().bytes(), big);
-  std::remove(path.c_str());
-}
-
-TEST(PagedRecordStore, DeleteReturnsFullyDeadPageToFreeList) {
-  std::string path = TempPath("prs_deadpage.pages");
-  auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
-  // Each 200-byte record nearly fills a 240-byte page payload, so the two
-  // records land on different pages and the first page is non-tail.
-  uint64_t a = store->Append(kTypeA, std::string(200, 'a')).value();
-  uint64_t b = store->Append(kTypeA, std::string(200, 'b')).value();
-  EXPECT_EQ(store->file().free_count(), 0u);
-
-  ASSERT_TRUE(store->Delete(a).ok());
-  EXPECT_EQ(store->file().free_count(), 1u);
-  EXPECT_EQ(store->Read(b).value().bytes(), std::string(200, 'b'));
-  std::remove(path.c_str());
-}
-
-TEST(PagedRecordStore, ReopenSealsTailAndKeepsRecordIds) {
-  std::string path = TempPath("prs_reopen.pages");
-  StorageParams params = SmallStoreParams();
-  auto store = PagedRecordStore::Create(path, params).value();
-  uint64_t a = store->Append(kTypeA, "before crash").value();
-  store->SetRoot(a);
-  ASSERT_TRUE(store->Commit().ok());
-  store.reset();
-
-  auto back = PagedRecordStore::Open(path, params).value();
-  EXPECT_EQ(back->Root(), a);
-  EXPECT_EQ(back->Read(a).value().bytes(), "before crash");
-  // The old tail is sealed: a new append starts a fresh page, so a torn
-  // pre-crash tail can never be extended.
-  uint64_t b = back->Append(kTypeA, "after reopen").value();
-  EXPECT_NE(b >> 16, a >> 16);
-  EXPECT_EQ(back->Read(a).value().bytes(), "before crash");
-  EXPECT_EQ(back->Read(b).value().bytes(), "after reopen");
+  EXPECT_EQ(store->cache_stats().pinned_pages, 0u);
   std::remove(path.c_str());
 }
 
 TEST(PagedRecordStore, ReadOfBogusIdIsNotFound) {
   std::string path = TempPath("prs_bogus.pages");
   auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
-  ASSERT_TRUE(store->Append(kTypeA, "only record").ok());
-  auto missing = store->Read((1ull << 16) | 55);  // page 1, nonexistent slot
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), api::StatusCode::kNotFound);
-  EXPECT_FALSE(store->Read(PagedRecordStore::kNoRecord).ok());
+  // Each 200-byte record nearly fills a 240-byte page payload, so the
+  // first page is sealed and the second is the tail.
+  uint64_t sealed = store->Append(std::string(200, 'a')).value();
+  uint64_t tail = store->Append(std::string(200, 'b')).value();
+  ASSERT_NE(PageOfId(sealed), PageOfId(tail));
+  std::string spill;
+  for (uint64_t page : {PageOfId(sealed), PageOfId(tail)}) {
+    SCOPED_TRACE("page " + std::to_string(page));
+    auto missing = store->Read((page << 16) | 55, &spill);
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.status().code(), api::StatusCode::kNotFound);
+  }
+  EXPECT_FALSE(store->Read(PagedRecordStore::kNoRecord, &spill).ok());
+  EXPECT_EQ(store->Read(sealed, &spill).value().bytes(),
+            std::string(200, 'a'));
+  EXPECT_EQ(store->Read(tail, &spill).value().bytes(), std::string(200, 'b'));
+  std::remove(path.c_str());
+}
+
+uint64_t Pins(const BufferCacheStats& s) { return s.hits + s.misses; }
+
+TEST(PagedRecordStore, ReadPinsOnlySealedPages) {
+  std::string path = TempPath("prs_sealed_pins.pages");
+  auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
+  std::string spill;
+  uint64_t a = store->Append("on the tail").value();
+  // 1,000 bytes chain over five 240-byte overflow pages; the stub stays on
+  // the tail page.
+  uint64_t big = store->Append(std::string(1000, 'n')).value();
+
+  EXPECT_EQ(store->Read(a, &spill).value().bytes(), "on the tail");
+  EXPECT_EQ(Pins(store->cache_stats()), 0u) << "the tail page was pinned";
+  EXPECT_EQ(store->Read(big, &spill).value().bytes(), std::string(1000, 'n'));
+  EXPECT_EQ(Pins(store->cache_stats()), 5u);  // the sealed overflow pages
+
+  // Commit writes the tail page to the file; it is still read from the
+  // store's own buffer until it is sealed.
+  ASSERT_TRUE(store->Commit().ok());
+  EXPECT_EQ(store->Read(a, &spill).value().bytes(), "on the tail");
+  EXPECT_EQ(Pins(store->cache_stats()), 5u);
+
+  SealPageOf(store.get(), a);
+  EXPECT_EQ(store->Read(a, &spill).value().bytes(), "on the tail");
+  EXPECT_EQ(Pins(store->cache_stats()), 6u);
+  EXPECT_EQ(store->cache_stats().pinned_pages, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(PagedRecordStore, AppendSucceedsWhileReadersPinEveryFrame) {
+  // Appends never take a cache frame: a reader holding the only frame of a
+  // one-frame cache cannot make them fail.
+  std::string path = TempPath("prs_pinned_append.pages");
+  StorageParams params = SmallStoreParams();
+  params.cache_bytes = params.page_size;
+  params.cache_shards = 1;
+  auto store = PagedRecordStore::Create(path, params).value();
+  ASSERT_EQ(store->cache()->num_frames(), 1u);
+
+  std::string spill;
+  uint64_t sealed = store->Append(std::string(200, 'a')).value();
+  SealPageOf(store.get(), sealed);
+  auto held = store->Read(sealed, &spill).value();  // pins the only frame
+  ASSERT_EQ(store->cache_stats().pinned_pages, 1u);
+
+  auto inline_id = store->Append("inline while pinned");
+  ASSERT_TRUE(inline_id.ok()) << inline_id.status().ToString();
+  // Still on the tail page, so it reads back without a frame.
+  EXPECT_EQ(store->Read(inline_id.value(), &spill).value().bytes(),
+            "inline while pinned");
+  const std::string big(1000, 'c');
+  auto chained_id = store->Append(big);
+  ASSERT_TRUE(chained_id.ok()) << chained_id.status().ToString();
+  EXPECT_EQ(held.bytes(), std::string(200, 'a'));
+
+  // The chain's overflow pages are read through the frame the reader held.
+  held = PagedRecordStore::RecordRef();
+  EXPECT_EQ(store->Read(chained_id.value(), &spill).value().bytes(), big);
+  EXPECT_EQ(store->Read(inline_id.value(), &spill).value().bytes(),
+            "inline while pinned");
+  EXPECT_EQ(store->cache_stats().pinned_pages, 0u);
+  std::remove(path.c_str());
+}
+
+/// The bytes of record `i` in the concurrency test: every seventh record
+/// chains over overflow pages, the rest are inline; the contents depend on
+/// `i`, so a read that returned another record's bytes fails.
+std::string RecordBytes(size_t i) {
+  const size_t len = i % 7 == 3 ? 300 + (i * 37) % 700 : (i * 13) % 120;
+  std::string bytes(len, '\0');
+  for (size_t j = 0; j < len; ++j) {
+    bytes[j] = static_cast<char>((i * 131 + j) & 0xFF);
+  }
+  return bytes;
+}
+
+TEST(PagedRecordStore, ConcurrentReadsDuringAppendsAndCommits) {
+  // Three readers read random acked ids (on the tail page, on sealed pages,
+  // chained over overflow pages) while one writer appends mixed inline and
+  // chained records and commits every few dozen appends. Every read must
+  // return exactly the appended bytes. scripts/check.sh runs this under
+  // ASan and TSan.
+  constexpr size_t kRecords = 600;
+  constexpr size_t kCommitEvery = 40;
+  std::string path = TempPath("prs_concurrent.pages");
+  auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
+
+  std::vector<uint64_t> ids(kRecords);
+  std::atomic<size_t> acked{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> bad_reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(500 + t);
+      std::string spill;
+      while (!done.load(std::memory_order_acquire)) {
+        const size_t n = acked.load(std::memory_order_acquire);
+        if (n == 0) continue;
+        // Half the reads go to the newest records, on or near the tail.
+        const size_t i = rng.Bernoulli(0.5)
+                             ? n - 1 - rng.Index(std::min<size_t>(n, 8))
+                             : rng.Index(n);
+        auto ref = store->Read(ids[i], &spill);
+        if (!ref.ok() || ref.value().bytes() != RecordBytes(i)) {
+          bad_reads.fetch_add(1, std::memory_order_relaxed);
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  bool writer_ok = true;
+  for (size_t i = 0; i < kRecords && writer_ok; ++i) {
+    auto id = store->Append(RecordBytes(i));
+    writer_ok = id.ok();
+    if (!writer_ok) break;
+    ids[i] = id.value();
+    acked.store(i + 1, std::memory_order_release);
+    if ((i + 1) % kCommitEvery == 0) writer_ok = store->Commit().ok();
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  ASSERT_TRUE(writer_ok);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(bad_reads.load(), 0u) << "of " << reads.load() << " reads";
+  std::string spill;
+  for (size_t i = 0; i < kRecords; ++i) {
+    ASSERT_EQ(store->Read(ids[i], &spill).value().bytes(), RecordBytes(i))
+        << "record " << i;
+  }
+  EXPECT_EQ(store->cache_stats().pinned_pages, 0u);
   std::remove(path.c_str());
 }
 
 TEST(PagedRecordStore, ComputePageFileStatsAuditsOccupancy) {
   std::string path = TempPath("prs_stats.pages");
   auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
-  store->Append(kTypeA, std::string(50, 's')).value();
-  store->Append(kTypeA, std::string(60, 's')).value();
-  uint64_t dead = store->Append(kTypeB, std::string(40, 'b')).value();
-  uint64_t big = store->Append(kRecIndexNode, std::string(1000, 'n')).value();
-  ASSERT_TRUE(store->Delete(dead).ok());
-  store->SetRoot(big);
+  store->Append(std::string(50, 's')).value();
+  store->Append(std::string(60, 's')).value();
+  store->Append(std::string(1000, 'n')).value();  // 5 overflow pages
   ASSERT_TRUE(store->Commit().ok());
 
   PageFileStats stats = ComputePageFileStats(path).value();
   EXPECT_EQ(stats.page_size, 256u);
-  EXPECT_EQ(stats.root, big);
-  EXPECT_EQ(stats.free_list_len, stats.free_count);
-  EXPECT_EQ(stats.dead_slots, 1u);
-  EXPECT_GE(stats.data_pages, 1u);
-  EXPECT_GE(stats.overflow_pages, 4u);
+  EXPECT_EQ(stats.num_pages, 7u);
+  EXPECT_EQ(stats.data_pages, 1u);  // the tail, written by Commit
+  EXPECT_EQ(stats.overflow_pages, 5u);
+  EXPECT_EQ(stats.records, 3u);
+  EXPECT_EQ(stats.record_bytes, 1110u);
 
-  uint64_t a_live = 0, a_bytes = 0, node_bytes = 0, b_live = 0;
-  for (const auto& t : stats.by_type) {
-    if (t.record_type == kTypeA) {
-      a_live = t.live_records;
-      a_bytes = t.live_bytes;
-    }
-    if (t.record_type == kRecIndexNode) node_bytes = t.live_bytes;
-    if (t.record_type == kTypeB) b_live = t.live_records;
-  }
-  EXPECT_EQ(a_live, 2u);
-  EXPECT_EQ(a_bytes, 110u);
-  EXPECT_EQ(node_bytes, 1000u);
-  EXPECT_EQ(b_live, 0u);  // the deleted record no longer counts
+  // The next record does not fit: the tail is sealed, a second data page
+  // starts, and the next Commit writes it.
+  store->Append(std::string(200, 'x')).value();
+  ASSERT_TRUE(store->Commit().ok());
+  stats = ComputePageFileStats(path).value();
+  EXPECT_EQ(stats.num_pages, 8u);
+  EXPECT_EQ(stats.data_pages, 2u);
+  EXPECT_EQ(stats.overflow_pages, 5u);
+  EXPECT_EQ(stats.records, 4u);
+  EXPECT_EQ(stats.record_bytes, 1310u);
   std::remove(path.c_str());
 }
 
 TEST(PagedRecordStore, StatsDetectCorruptPage) {
   std::string path = TempPath("prs_stats_corrupt.pages");
   auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
-  store->Append(kTypeA, std::string(100, 'q')).value();
+  store->Append(std::string(100, 'q')).value();
   ASSERT_TRUE(store->Commit().ok());
   store.reset();
 
@@ -513,26 +496,14 @@ TEST(PagedRecordStore, StatsDetectCorruptPage) {
   std::remove(path.c_str());
 }
 
-TEST(PagedRecordStore, EveryPageFlipIsCorruption) {
-  // A byte flipped in any page — header, slotted data, overflow chain or
-  // free — is caught by that page's CRC, and the audit reports it as
-  // kCorruption instead of misreading the file.
-  std::string path = TempPath("prs_every_page.pages");
-  auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
-  // The first record fills page 1 alone; deleting it frees that page.
-  uint64_t freed = store->Append(kTypeA, std::string(200, 'a')).value();
-  store->Append(kTypeB, std::string(200, 'b')).value();
-  uint64_t big = store->Append(kRecIndexNode, std::string(1000, 'n')).value();
-  ASSERT_TRUE(store->Delete(freed).ok());
-  store->SetRoot(big);
-  ASSERT_TRUE(store->Commit().ok());
-  const uint64_t pages = store->file().num_pages();
-  store.reset();
-
+/// Flips a byte in every page of the committed store at `path` in turn:
+/// each flip must make the audit report kCorruption.
+void ExpectEveryPageFlipIsCorruption(const std::string& path,
+                                     uint64_t pages) {
   PageFileStats clean = ComputePageFileStats(path).value();
+  ASSERT_EQ(clean.num_pages, pages);
   ASSERT_GE(clean.data_pages, 1u);
   ASSERT_GE(clean.overflow_pages, 4u);
-  ASSERT_GE(clean.free_pages, 1u);
   for (uint64_t page = 0; page < pages; ++page) {
     CorruptByteAt(path, page * 256 + 20);
     auto stats = ComputePageFileStats(path);
@@ -541,6 +512,36 @@ TEST(PagedRecordStore, EveryPageFlipIsCorruption) {
     CorruptByteAt(path, page * 256 + 20);  // flip it back
   }
   EXPECT_TRUE(ComputePageFileStats(path).ok());
+}
+
+TEST(PagedRecordStore, EveryPageFlipIsCorruption) {
+  // A byte flipped in any page — header, data or overflow chain — is
+  // caught by that page's CRC, and the audit reports it as kCorruption
+  // instead of misreading the file.
+  std::string path = TempPath("prs_every_page.pages");
+  auto store = PagedRecordStore::Create(path, SmallStoreParams()).value();
+  store->Append(std::string(200, 'a')).value();
+  store->Append(std::string(1000, 'n')).value();
+  // Mid-stream: the tail page is on disk only because Commit wrote it.
+  ASSERT_TRUE(store->Commit().ok());
+  {
+    SCOPED_TRACE("mid-stream");
+    ExpectEveryPageFlipIsCorruption(path, store->file().num_pages());
+  }
+
+  store->Append(std::string(200, 'b')).value();  // seals the first tail
+  store->Append(std::string(100, 'c')).value();  // seals the second
+  ASSERT_TRUE(store->Commit().ok());
+  {
+    SCOPED_TRACE("end");
+    ExpectEveryPageFlipIsCorruption(path, store->file().num_pages());
+  }
+  std::string spill;
+  EXPECT_EQ(store->Read(store->Append("after").value(), &spill)
+                .value()
+                .bytes(),
+            "after");
+  store.reset();
   std::remove(path.c_str());
 }
 
@@ -668,8 +669,6 @@ void ExpectSameResult(const index::KnnResult& want,
   EXPECT_EQ(want.early_abandons, got.early_abandons);
 }
 
-uint64_t Pins(const BufferCacheStats& s) { return s.hits + s.misses; }
-
 // Filter and refine: a paged leaf entry keeps its lower-bound summary
 // resident, so the cascade runs before the fetch and a candidate it prunes
 // is never read. With 4 KiB pages every leaf record is inline, so one pin is
@@ -739,10 +738,12 @@ uint64_t AllocationsDuring(Fn&& fn) {
 
 // With the whole store resident, a paged query differs from its in-RAM
 // twin only by its fetches: a cache pin, a decode and a re-flatten per
-// candidate. Each fetch reuses the thread's decode scratch and relinks its
-// LRU node, so the paged query allocates no more than the twin (plus a
-// small constant), however many records it reads.
-TEST(PagedIndex, CacheHitFetchesDoNotAllocate) {
+// candidate. Each fetch reuses the thread's spill buffer and decode scratch
+// and relinks its LRU node, so the paged query allocates no more than the
+// twin (plus a small constant), however many records it reads. 4 KiB pages
+// hold every record inline; 256-byte pages chain every record over
+// overflow pages, which the store assembles into the reused spill buffer.
+void ExpectCacheHitFetchesDoNotAllocate(size_t page_size) {
   synth::SynthParams sp;
   sp.items_per_cluster = 4;
   const synth::SynthDataset ds = synth::GenerateSyntheticOgs(sp);
@@ -751,7 +752,7 @@ TEST(PagedIndex, CacheHitFetchesDoNotAllocate) {
 
   StorageParams params;
   params.paged = true;
-  params.page_size = 4096;
+  params.page_size = page_size;
   params.cache_bytes = 1 << 20;
   params.cache_shards = 2;
   std::string path = TempPath("prs_cache_hit_allocs.pages");
@@ -804,6 +805,13 @@ TEST(PagedIndex, CacheHitFetchesDoNotAllocate) {
   EXPECT_EQ(end.pinned_pages, 0u);
   store.reset();
   std::remove(path.c_str());
+}
+
+TEST(PagedIndex, CacheHitFetchesDoNotAllocate) {
+  for (size_t page_size : {size_t{4096}, size_t{256}}) {
+    SCOPED_TRACE("page_size " + std::to_string(page_size));
+    ExpectCacheHitFetchesDoNotAllocate(page_size);
+  }
 }
 
 }  // namespace

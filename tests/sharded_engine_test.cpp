@@ -266,12 +266,13 @@ TEST(ShardedEngine, PagedShardsMatchInRamUnsharded) {
 
 // The deadlock-freedom stress target (DESIGN.md §15): drives the DEEPEST
 // legal lock chains concurrently — a live writer walking
-// kIngestSharded -> kShardMap / kEngineWriter -> kRecordStore ->
+// kIngestSharded -> kShardMap / kEngineWriter -> kRecordStore /
 // kBufferCache / kSnapshot / kThreadPool against async clients walking
-// kRequestState / kGatherMerge and paged reads taking
-// kRecordStore -> kBufferCache. Under STRG_SANITIZE=thread this must be
-// race-free; under STRG_DEADLOCK_CHECK=ON every acquisition on every one
-// of these paths is checked against the rank hierarchy.
+// kRequestState / kGatherMerge and paged reads taking kRecordStore (a
+// tail-page record) or kBufferCache (a sealed page). Under
+// STRG_SANITIZE=thread this must be race-free; under
+// STRG_DEADLOCK_CHECK=ON every acquisition on every one of these paths is
+// checked against the rank hierarchy.
 TEST(ShardedEngine, DeepLockChainStressWithLiveWriter) {
   MultiFixture fx = MakeMultiFixture(/*num_videos=*/6, /*base_per_video=*/4,
                                      /*seed=*/67);
