@@ -278,7 +278,7 @@ OverloadResult RunOpenLoopOverload(server::ShardedQueryEngine* engine,
                      done.fetch_add(1, std::memory_order_release);
                    });
   }
-  // Completion callbacks fire on runtime workers; wait for the tail.
+  // Completion callbacks fire on pool workers; wait for the tail.
   for (int spins = 0; done.load(std::memory_order_acquire) < n_requests &&
                       spins < 30000;
        ++spins) {
@@ -447,7 +447,11 @@ int main() {
 
   // -- SLOs. The parallel-speedup target needs cores to parallelize over:
   // on a single-core host the scatter still must not *lose* (and overload
-  // shedding / exactness still apply), but >= 2x is marked n/a.
+  // shedding / exactness still apply), but >= 2x is marked n/a. Exactness
+  // and the two admission SLOs set the exit code: overload is shed, only as
+  // kOverloaded, and accepted p99 stays within the admission cap's bound.
+  // speedup_ok and equal_p99_ok are reported only; whether sharding stays
+  // and meets them is an open ROADMAP item ("One engine").
   const bool speedup_applicable = cores >= 2 && shards >= 4;
   const bool slo_speedup = speedup >= 2.0;
   const bool slo_p99 = p99_ratio <= 1.10 || sharded.p99_us <= single.p99_us;
@@ -495,5 +499,5 @@ int main() {
                     ? "  [acceptance: >= 2x at equal p99]"
                     : "  [>= 2x SLO n/a: needs >= 2 cores and >= 4 shards]")
             << "\n";
-  return equivalent ? 0 : 1;
+  return equivalent && slo_shed_typed && slo_p99_bounded ? 0 : 1;
 }

@@ -8,10 +8,11 @@
 # DP over raw row pointers; the mean-shift kernel does integral-image index
 # arithmetic — exactly where UB hides). UBSan builds with
 # -fno-sanitize-recover=undefined, so any report fails its test.
-# A dedicated `server` stage runs the server-labeled suites (sharded
-# scatter-gather, async runtime, metrics JSON, snapshot sharing) under ASan,
-# and — with STRG_CHECK_TSAN=1 — the cancellation/deadline race,
-# tau-pruning and snapshot-sharing tests under TSan. A `simd` stage re-runs the distance|simd suites under ASan and
+# A dedicated `server` stage runs the server-labeled suites (both engines'
+# request lifecycle, sharded scatter-gather, metrics JSON, snapshot sharing)
+# under ASan, and — with STRG_CHECK_TSAN=1 — the cancellation/deadline race,
+# tau-pruning, drain-on-destroy and snapshot-sharing tests under TSan. A
+# `simd` stage re-runs the distance|simd suites under ASan and
 # UBSan with STRG_FORCE_SCALAR=1, covering both dispatch tiers and the env
 # override plumbing. A `crc` stage reruns the storage|paging suites under
 # ASan and the recovery suites under UBSan with STRG_FORCE_SCALAR=1, so the
@@ -51,8 +52,8 @@ fi
 
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
-cmake --build build -j
-ctest --test-dir build --output-on-failure -j
+cmake --build build -j "$(nproc)"
+ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 # Configure both sanitizer trees up front: later stages build targets in
 # either tree, so a fresh checkout must have both before the first build.
@@ -64,10 +65,10 @@ cmake -B build-ubsan -S . -DSTRG_SANITIZE=undefined \
 echo
 echo "== ASan pass (STRG_SANITIZE=address) =="
 if [[ "${STRG_CHECK_ASAN_ALL:-0}" == "1" ]]; then
-  cmake --build build-asan -j
-  ctest --test-dir build-asan --output-on-failure -j
+  cmake --build build-asan -j "$(nproc)"
+  ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 else
-  cmake --build build-asan -j \
+  cmake --build build-asan -j "$(nproc)" \
     --target server_concurrency_test thread_pool_test wal_recovery_test \
     distance_kernel_test ingest_parallel_test paging_test \
     serializer_property_test
@@ -80,19 +81,21 @@ fi
 # Out-of-core storage under ASan: the pin protocol hands out views into
 # cache frames, exactly where a use-after-evict or off-by-one in the slot
 # walk would hide. Runs the storage- and paging-labeled suites.
-ctest --test-dir build-asan -L 'storage|paging' --output-on-failure -j
+ctest --test-dir build-asan -L 'storage|paging' --output-on-failure \
+  -j "$(nproc)"
 
 echo
-echo "== server stage (ASan): sharded scatter-gather + async runtime =="
+echo "== server stage (ASan): request lifecycle + sharded scatter-gather =="
 # The serving layer's submit/complete lifecycle hands QueryResult objects
-# across threads (worker -> completion callback -> waiter) and the sharded
+# across threads (worker -> completion callback -> waiter), each engine's
+# pool drains follow-ups submitted while it is destroyed, and the sharded
 # engine merges per-shard legs under a shared tau bound — exactly where a
 # use-after-free on an abandoned request or gather would hide. Snapshot
 # generations share index records, so a reader of an old generation racing
 # the writer's path copies (snapshot_sharing_test) is checked here too.
-cmake --build build-asan -j --target sharded_engine_test \
+cmake --build build-asan -j "$(nproc)" --target sharded_engine_test \
   server_metrics_json_test snapshot_sharing_test
-ctest --test-dir build-asan -L server --output-on-failure -j
+ctest --test-dir build-asan -L server --output-on-failure -j "$(nproc)"
 
 echo
 echo "== cluster stage (ASan + UBSan): bounded-assignment equivalence =="
@@ -101,12 +104,14 @@ echo "== cluster stage (ASan + UBSan): bounded-assignment equivalence =="
 # — an off-by-one in the lb row indexing or a stale flat pointer after a
 # reseed is exactly the bug class ASan catches; the score-space pruning
 # does log/sqrt radius arithmetic where UBSan would see a domain slip.
-cmake --build build-asan -j --target cluster_bounds_test cluster_test \
-  seeding_test
-cmake --build build-ubsan -j --target cluster_bounds_test cluster_test \
-  seeding_test
-ctest --test-dir build-asan -L 'cluster|seeding' --output-on-failure -j
-ctest --test-dir build-ubsan -L 'cluster|seeding' --output-on-failure -j
+cmake --build build-asan -j "$(nproc)" --target cluster_bounds_test \
+  cluster_test seeding_test
+cmake --build build-ubsan -j "$(nproc)" --target cluster_bounds_test \
+  cluster_test seeding_test
+ctest --test-dir build-asan -L 'cluster|seeding' --output-on-failure \
+  -j "$(nproc)"
+ctest --test-dir build-ubsan -L 'cluster|seeding' --output-on-failure \
+  -j "$(nproc)"
 
 echo
 echo "== deadlock stage (STRG_DEADLOCK_CHECK=ON): runtime rank checker =="
@@ -118,10 +123,10 @@ echo "== deadlock stage (STRG_DEADLOCK_CHECK=ON): runtime rank checker =="
 cmake -B build-deadlock -S . -DSTRG_DEADLOCK_CHECK=ON \
   -DSTRG_BUILD_BENCHMARKS=OFF -DSTRG_BUILD_EXAMPLES=OFF >/dev/null
 if [[ "${STRG_CHECK_DEADLOCK_ALL:-0}" == "1" ]]; then
-  cmake --build build-deadlock -j
-  ctest --test-dir build-deadlock --output-on-failure -j
+  cmake --build build-deadlock -j "$(nproc)"
+  ctest --test-dir build-deadlock --output-on-failure -j "$(nproc)"
 else
-  cmake --build build-deadlock -j --target deadlock_rank_test \
+  cmake --build build-deadlock -j "$(nproc)" --target deadlock_rank_test \
     sharded_engine_test
   ./build-deadlock/tests/deadlock_rank_test
   ./build-deadlock/tests/sharded_engine_test \
@@ -130,10 +135,11 @@ fi
 
 echo
 echo "== UBSan pass over recovery+distance+ingest+storage+paging-labeled tests (STRG_SANITIZE=undefined) =="
-cmake --build build-ubsan -j --target wal_recovery_test distance_kernel_test \
-  ingest_parallel_test paging_test serializer_property_test
+cmake --build build-ubsan -j "$(nproc)" --target wal_recovery_test \
+  distance_kernel_test ingest_parallel_test paging_test \
+  serializer_property_test
 ctest --test-dir build-ubsan -L 'recovery|distance|ingest|storage|paging' \
-  --output-on-failure -j
+  --output-on-failure -j "$(nproc)"
 
 echo
 echo "== simd stage: dispatch-tier equivalence under ASan + UBSan, both tiers =="
@@ -143,13 +149,14 @@ echo "== simd stage: dispatch-tier equivalence under ASan + UBSan, both tiers ==
 # plumbing and the scalar-initial-state path. The unaligned _mm256_loadu /
 # vld1q tails and the wavefront DP's offset arithmetic are exactly where an
 # out-of-bounds lane or pointer-wrap UB would hide.
-cmake --build build-asan -j --target simd_dispatch_test
-cmake --build build-ubsan -j --target simd_dispatch_test
-ctest --test-dir build-asan -L 'distance|simd' --output-on-failure -j
+cmake --build build-asan -j "$(nproc)" --target simd_dispatch_test
+cmake --build build-ubsan -j "$(nproc)" --target simd_dispatch_test
+ctest --test-dir build-asan -L 'distance|simd' --output-on-failure \
+  -j "$(nproc)"
 STRG_FORCE_SCALAR=1 ctest --test-dir build-asan -L 'distance|simd' \
-  --output-on-failure -j
+  --output-on-failure -j "$(nproc)"
 STRG_FORCE_SCALAR=1 ctest --test-dir build-ubsan -L 'distance|simd' \
-  --output-on-failure -j
+  --output-on-failure -j "$(nproc)"
 
 echo
 echo "== crc stage: portable CRC32C tier end to end (STRG_FORCE_SCALAR=1) =="
@@ -159,16 +166,16 @@ echo "== crc stage: portable CRC32C tier end to end (STRG_FORCE_SCALAR=1) =="
 # vectors under UBSan (the tables' word assembly is raw byte punning).
 # Both binaries were built by the stages above.
 STRG_FORCE_SCALAR=1 ctest --test-dir build-asan -L 'storage|paging' \
-  --output-on-failure -j
+  --output-on-failure -j "$(nproc)"
 STRG_FORCE_SCALAR=1 ctest --test-dir build-ubsan -L recovery \
-  --output-on-failure -j
+  --output-on-failure -j "$(nproc)"
 
 if [[ "${STRG_CHECK_TSAN:-0}" == "1" ]]; then
   echo
   echo "== TSan pass (STRG_SANITIZE=thread) =="
   cmake -B build-tsan -S . -DSTRG_SANITIZE=thread \
     -DSTRG_BUILD_BENCHMARKS=OFF -DSTRG_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build build-tsan -j --target server_concurrency_test \
+  cmake --build build-tsan -j "$(nproc)" --target server_concurrency_test \
     thread_pool_test distance_kernel_test ingest_parallel_test paging_test \
     sharded_engine_test snapshot_sharing_test
   ./build-tsan/tests/server_concurrency_test
@@ -180,9 +187,10 @@ if [[ "${STRG_CHECK_TSAN:-0}" == "1" ]]; then
   # deadlines, and a live writer — the exactly-once finalize CAS and the
   # tau-bound publication are the contested atomics. The deep-chain stress
   # adds paged per-shard stores so the ingest -> writer -> record store /
-  # buffer cache lock chains run under the race checker.
+  # buffer cache lock chains run under the race checker, and the drain test
+  # posts a follow-up's legs while the engine's pool is being destroyed.
   ./build-tsan/tests/sharded_engine_test \
-    --gtest_filter='ShardedEngine.CancellationAndDeadlineRaceIsClean:ShardedEngine.TauPruningFiresAndStaysExact:ShardedEngine.DeepLockChainStressWithLiveWriter'
+    --gtest_filter='ShardedEngine.CancellationAndDeadlineRaceIsClean:ShardedEngine.TauPruningFiresAndStaysExact:ShardedEngine.DeepLockChainStressWithLiveWriter:ShardedEngine.FollowUpSubmittedDuringDestructionCompletes'
   # The query path against its brute-force EgedMetric oracle, pooled-build
   # determinism (parallel placement and EM restarts), and exact per-query
   # counters under concurrent load — the data-race check for the kernel's
@@ -201,7 +209,7 @@ if [[ "${STRG_CHECK_TSAN:-0}" == "1" ]]; then
   # owns its BoundedAssigner and ClusterStats, merged serially afterward —
   # TSan proves the per-restart state really is private while the test
   # asserts pooled == serial bit-identically.
-  cmake --build build-tsan -j --target cluster_bounds_test
+  cmake --build build-tsan -j "$(nproc)" --target cluster_bounds_test
   ./build-tsan/tests/cluster_bounds_test \
     --gtest_filter='ClusterBoundsParallel.RestartEquivalence'
 fi

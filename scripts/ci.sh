@@ -45,8 +45,8 @@ run_stage() {
 }
 
 run_stage configure cmake -B build -S .
-run_stage build cmake --build build -j
-run_stage test ctest --test-dir build --output-on-failure -j
+run_stage build cmake --build build -j "$(nproc)"
+run_stage test ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 # All four end-to-end workloads on their small catalogs: bench/e2e/run.sh
 # builds its own Release tree and exits nonzero if any oracle fails (among

@@ -84,16 +84,6 @@ void ServerMetrics::NoteQueueDepth(int64_t depth) {
   }
 }
 
-void ServerMetrics::AddIngestPipeline(const api::IngestStats& s) {
-  frames_segmented.fetch_add(s.frames_segmented, std::memory_order_relaxed);
-  shots_processed.fetch_add(s.shots_processed, std::memory_order_relaxed);
-  ingest_queue_stalls.fetch_add(s.queue_full_stalls,
-                                std::memory_order_relaxed);
-  ingest_segment_us.fetch_add(s.segment_us, std::memory_order_relaxed);
-  ingest_track_us.fetch_add(s.track_us, std::memory_order_relaxed);
-  ingest_decompose_us.fetch_add(s.decompose_us, std::memory_order_relaxed);
-}
-
 std::string ServerMetrics::ToJson(
     uint64_t generation, const std::vector<ShardScrape>& shards) const {
   std::string out;
@@ -145,19 +135,6 @@ std::string ServerMetrics::ToJson(
   AppendCount(&out, ingests.load(std::memory_order_relaxed));
   out.append(",\"snapshots_published\":");
   AppendCount(&out, snapshots_published.load(std::memory_order_relaxed));
-  out.append(",\"frames_segmented\":");
-  AppendCount(&out, frames_segmented.load(std::memory_order_relaxed));
-  out.append(",\"shots\":");
-  AppendCount(&out, shots_processed.load(std::memory_order_relaxed));
-  out.append(",\"queue_stalls\":");
-  AppendCount(&out, ingest_queue_stalls.load(std::memory_order_relaxed));
-  out.append(",\"stage_us\":{\"segment\":");
-  AppendCount(&out, ingest_segment_us.load(std::memory_order_relaxed));
-  out.append(",\"track\":");
-  AppendCount(&out, ingest_track_us.load(std::memory_order_relaxed));
-  out.append(",\"decompose\":");
-  AppendCount(&out, ingest_decompose_us.load(std::memory_order_relaxed));
-  out.append("}");
   out.append(",\"latency\":");
   ingest_latency.AppendJson(&out);
   out.append("}");

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "api/status.h"
-#include "core/ingest_stats.h"
 #include "storage/pager/buffer_cache.h"
 #include "util/sync.h"
 
@@ -48,8 +47,8 @@ class LatencyHistogram {
 };
 
 /// Central registry of the serving layer's observability surface: atomic
-/// counters + per-operation latency histograms, dumpable as JSON. Owned by
-/// the QueryEngine; all fields may be read while the engine is serving.
+/// counters + per-operation latency histograms, dumpable as JSON. Each
+/// serving engine owns one; all fields may be read while it is serving.
 ///
 /// Memory-order policy: every counter access in this registry — reads and
 /// writes alike — uses std::memory_order_relaxed, uniformly. Counters are
@@ -78,17 +77,6 @@ class ServerMetrics {
   // Ingest / snapshot publication.
   std::atomic<uint64_t> ingests{0};
   std::atomic<uint64_t> snapshots_published{0};
-
-  // Frames -> OGs ingest pipeline (api::VideoPipeline / ProcessFrames).
-  // The pipeline counts locally on the ingesting thread and callers fold
-  // whole runs in via AddIngestPipeline, mirroring how the PR 3 distance
-  // counters reach this registry.
-  std::atomic<uint64_t> frames_segmented{0};
-  std::atomic<uint64_t> shots_processed{0};
-  std::atomic<uint64_t> ingest_queue_stalls{0};  ///< queue-full backpressure
-  std::atomic<uint64_t> ingest_segment_us{0};    ///< segmentation + RAG build
-  std::atomic<uint64_t> ingest_track_us{0};      ///< serial tracking merge
-  std::atomic<uint64_t> ingest_decompose_us{0};  ///< Finish() decomposition
 
   // Request outcomes by api::StatusCode — every QueryResult the engine
   // hands back increments exactly one slot, so the dashboard shows the
@@ -135,8 +123,12 @@ class ServerMetrics {
         1, std::memory_order_relaxed);
   }
 
-  /// Folds one ingest run's pipeline counters into the registry.
-  void AddIngestPipeline(const api::IngestStats& s);
+  /// Counts one published write that took `micros` end to end.
+  void NotePublish(double micros) {
+    ingests.fetch_add(1, std::memory_order_relaxed);
+    snapshots_published.fetch_add(1, std::memory_order_relaxed);
+    ingest_latency.Record(micros);
+  }
 
   /// One shard's point-in-time scrape for the "shards" array below. The
   /// sharded engine reads its per-shard relaxed counters into these plain

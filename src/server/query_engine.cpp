@@ -14,11 +14,91 @@ double MicrosSince(Clock::time_point start) {
       .count();
 }
 
-std::shared_ptr<const Snapshot> GenesisSnapshot(index::StrgIndexParams params) {
-  return std::make_shared<const Snapshot>(0, api::VideoDatabase(params));
+/// Picks the per-kind latency histogram.
+LatencyHistogram* HistogramFor(ServerMetrics* m, api::QuerySpec::Kind kind) {
+  switch (kind) {
+    case api::QuerySpec::Kind::kSimilar:
+      return &m->knn_latency;
+    case api::QuerySpec::Kind::kRange:
+      return &m->range_latency;
+    case api::QuerySpec::Kind::kActive:
+      return &m->active_latency;
+  }
+  return &m->knn_latency;
 }
 
 }  // namespace
+
+RequestState::RequestState(const api::QuerySpec& spec_in,
+                           const api::SubmitOptions& opts,
+                           CompletionFn on_complete_in,
+                           ServerMetrics* metrics_in)
+    : spec(spec_in),
+      start(Clock::now()),
+      deadline(start + opts.timeout),
+      has_deadline(opts.timeout.count() != 0),
+      on_complete(std::move(on_complete_in)),
+      metrics(metrics_in) {}
+
+bool RequestState::Admit(size_t max_pending) {
+  // The queue-depth gauge doubles as the token counter.
+  const int64_t depth =
+      metrics->queue_depth.fetch_add(1, std::memory_order_relaxed) + 1;
+  metrics->NoteQueueDepth(depth);
+  if (depth > static_cast<int64_t>(max_pending)) {
+    metrics->queue_depth.fetch_sub(1, std::memory_order_relaxed);
+    TryFinalize(StatusCode::kOverloaded, &ServerMetrics::rejected_overloaded);
+    return false;
+  }
+  metrics->admitted.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+bool RequestState::StartRun() {
+  // Cancelled while queued: skip the work.
+  if (cancel_requested.load(std::memory_order_relaxed)) {
+    TryFinalize(StatusCode::kCancelled);
+    return false;
+  }
+  // Expired while queued. A waiter whose deadline passed may already have
+  // finalized (and counted) the outcome; TryFinalize counts it here only if
+  // this finalize wins.
+  if (has_deadline && Clock::now() >= deadline) {
+    TryFinalize(StatusCode::kDeadlineExceeded,
+                &ServerMetrics::expired_in_queue);
+    return false;
+  }
+  // A waiter, a canceller or another leg already delivered an outcome;
+  // don't burn a worker on an answer nobody will read.
+  return !finalized.load(std::memory_order_acquire);
+}
+
+std::vector<api::VideoDatabase::QueryHit> RequestState::Execute(
+    const api::VideoDatabase& db, double initial_tau) const {
+  api::VideoDatabase::QueryStats stats;
+  std::vector<api::VideoDatabase::QueryHit> hits =
+      db.Query(spec, &stats, initial_tau);
+  metrics->distance_computations.fetch_add(stats.distance_computations,
+                                           std::memory_order_relaxed);
+  metrics->lb_prunes.fetch_add(stats.lb_prunes, std::memory_order_relaxed);
+  metrics->early_abandons.fetch_add(stats.early_abandons,
+                                    std::memory_order_relaxed);
+  return hits;
+}
+
+void RequestState::Complete(QueryResult r) {
+  r.status = StatusCode::kOk;
+  r.latency_micros = MicrosSince(start);
+  HistogramFor(metrics, spec.kind)->Record(r.latency_micros);
+  if (has_deadline && Clock::now() >= deadline) {
+    QueryResult expired;
+    expired.status = StatusCode::kDeadlineExceeded;
+    expired.latency_micros = r.latency_micros;
+    TryFinalize(std::move(expired), &ServerMetrics::deadline_exceeded);
+    return;
+  }
+  TryFinalize(std::move(r));
+}
 
 bool RequestState::TryFinalize(
     QueryResult r, std::atomic<uint64_t> ServerMetrics::*counter) {
@@ -29,11 +109,9 @@ bool RequestState::TryFinalize(
                                          std::memory_order_acq_rel)) {
     return false;
   }
-  if (metrics != nullptr) {
-    metrics->NoteStatus(r.status);
-    if (counter != nullptr) {
-      (metrics->*counter).fetch_add(1, std::memory_order_relaxed);
-    }
+  metrics->NoteStatus(r.status);
+  if (counter != nullptr) {
+    (metrics->*counter).fetch_add(1, std::memory_order_relaxed);
   }
   // Callback strictly before waiters are released: when Wait()/Query()
   // returns, the completion callback has already run (callers can tear
@@ -46,6 +124,14 @@ bool RequestState::TryFinalize(
   }
   cv.NotifyAll();
   return true;
+}
+
+bool RequestState::TryFinalize(
+    StatusCode code, std::atomic<uint64_t> ServerMetrics::*counter) {
+  QueryResult r;
+  r.status = code;
+  r.latency_micros = MicrosSince(start);
+  return TryFinalize(std::move(r), counter);
 }
 
 bool RequestState::Done() const {
@@ -65,10 +151,7 @@ void QueryHandle::Cancel() {
   // Finalize now so waiters/callbacks see kCancelled immediately; a task
   // already running keeps going, loses the CAS, and releases its admission
   // slot itself.
-  QueryResult cancelled;
-  cancelled.status = StatusCode::kCancelled;
-  cancelled.latency_micros = MicrosSince(state_->start);
-  state_->TryFinalize(std::move(cancelled));
+  state_->TryFinalize(StatusCode::kCancelled);
 }
 
 QueryResult QueryHandle::Wait() {
@@ -87,197 +170,126 @@ QueryResult QueryHandle::Wait() {
   // keeps its admission slot until it runs; finalize the caller-visible
   // outcome here (first finalizer wins — the worker may race us with the
   // real result, in which case we return that instead).
-  QueryResult expired;
-  expired.status = StatusCode::kDeadlineExceeded;
-  expired.latency_micros = MicrosSince(st.start);
-  st.TryFinalize(std::move(expired), &ServerMetrics::deadline_exceeded);
+  st.TryFinalize(StatusCode::kDeadlineExceeded,
+                 &ServerMetrics::deadline_exceeded);
   return st.WaitDone();
 }
 
-QueryEngine::QueryEngine(index::StrgIndexParams params, EngineOptions opts)
-    : opts_(opts), head_(GenesisSnapshot(params)) {
-  if (opts.runtime != nullptr) {
-    runtime_ = opts.runtime;
-  } else {
-    AsyncRuntime::Options ro;
-    ro.num_threads = opts.num_threads;
-    // The engine's own admission (max_pending) is the intended bound; give
-    // the private runtime headroom so it never second-guesses it.
-    ro.max_queue = opts.max_pending < 1024 ? 2048 : opts.max_pending * 2;
-    owned_runtime_ = std::make_unique<AsyncRuntime>(ro);
-    runtime_ = owned_runtime_.get();
+SnapshotChain::SnapshotChain(index::StrgIndexParams params)
+    : head_(std::make_shared<const Snapshot>(0, api::VideoDatabase(params))) {}
+
+std::shared_ptr<const Snapshot> SnapshotChain::snapshot() const {
+  MutexLock lock(mu_);
+  return head_;
+}
+
+void SnapshotChain::Store(std::shared_ptr<const Snapshot> next) {
+  // Swap under the lock, destroy outside it: dropping the last reference
+  // to a displaced generation releases one pointer per root and frees the
+  // records no newer generation shares, and kSnapshot is a leaf rank —
+  // teardown must not run while it is held.
+  std::shared_ptr<const Snapshot> displaced;
+  {
+    MutexLock lock(mu_);
+    displaced = std::move(head_);
+    head_ = std::move(next);
   }
 }
 
 template <typename MutateFn>
-uint64_t QueryEngine::Publish(MutateFn&& mutate) {
-  const auto start = Clock::now();
+uint64_t SnapshotChain::Publish(MutateFn&& mutate) {
   MutexLock lock(writer_mu_);
-  std::shared_ptr<const Snapshot> cur = head_.load();
+  std::shared_ptr<const Snapshot> cur = snapshot();
   // The clone shares every record with `cur`; mutate path-copies the
   // root -> cluster path it writes, so `cur` stays intact for its readers.
   auto next = std::make_shared<Snapshot>(cur->generation + 1, cur->db.Clone());
   mutate(&next->db);
-  head_.store(std::shared_ptr<const Snapshot>(std::move(next)));
-  metrics_.ingests.fetch_add(1, std::memory_order_relaxed);
-  metrics_.snapshots_published.fetch_add(1, std::memory_order_relaxed);
-  metrics_.ingest_latency.Record(MicrosSince(start));
-  return head_.load()->generation;
+  const uint64_t generation = next->generation;
+  Store(std::shared_ptr<const Snapshot>(std::move(next)));
+  return generation;
 }
 
-uint64_t QueryEngine::AddVideo(const std::string& name,
-                               const api::SegmentResult& segment,
-                               int* segment_id) {
+uint64_t SnapshotChain::AddVideo(const std::string& name,
+                                 const api::SegmentResult& segment,
+                                 int* segment_id) {
   return Publish([&](api::VideoDatabase* db) {
     int id = db->AddVideo(name, segment);
     if (segment_id != nullptr) *segment_id = id;
   });
 }
 
-uint64_t QueryEngine::AddObjectGraph(int segment_id, const std::string& video,
-                                     const core::Og& og,
-                                     const dist::FeatureScaling& scaling) {
+uint64_t SnapshotChain::AddObjectGraph(int segment_id,
+                                       const std::string& video,
+                                       const core::Og& og,
+                                       const dist::FeatureScaling& scaling) {
   return Publish([&](api::VideoDatabase* db) {
     db->AddObjectGraph(segment_id, video, og, scaling);
   });
 }
 
-void QueryEngine::RestoreGeneration(uint64_t generation) {
+void SnapshotChain::RestoreGeneration(uint64_t generation) {
   MutexLock lock(writer_mu_);
-  std::shared_ptr<const Snapshot> cur = head_.load();
+  std::shared_ptr<const Snapshot> cur = snapshot();
   if (generation <= cur->generation) return;
-  head_.store(std::make_shared<const Snapshot>(generation, cur->db.Clone()));
+  Store(std::make_shared<const Snapshot>(generation, cur->db.Clone()));
 }
 
-LatencyHistogram* QueryEngine::HistogramFor(api::QuerySpec::Kind kind) {
-  switch (kind) {
-    case api::QuerySpec::Kind::kSimilar:
-      return &metrics_.knn_latency;
-    case api::QuerySpec::Kind::kRange:
-      return &metrics_.range_latency;
-    case api::QuerySpec::Kind::kActive:
-      return &metrics_.active_latency;
-  }
-  return &metrics_.knn_latency;
+QueryEngine::QueryEngine(index::StrgIndexParams params, EngineOptions opts)
+    : opts_(opts), chain_(params), pool_(opts.num_threads) {}
+
+uint64_t QueryEngine::AddVideo(const std::string& name,
+                               const api::SegmentResult& segment,
+                               int* segment_id) {
+  const auto start = Clock::now();
+  const uint64_t generation = chain_.AddVideo(name, segment, segment_id);
+  metrics_.NotePublish(MicrosSince(start));
+  return generation;
 }
 
-void QueryEngine::RunTask(const std::shared_ptr<RequestState>& state,
-                          const api::QuerySpec& spec,
-                          LatencyHistogram* histogram) {
-  RequestState& st = *state;
+uint64_t QueryEngine::AddObjectGraph(int segment_id, const std::string& video,
+                                     const core::Og& og,
+                                     const dist::FeatureScaling& scaling) {
+  const auto start = Clock::now();
+  const uint64_t generation =
+      chain_.AddObjectGraph(segment_id, video, og, scaling);
+  metrics_.NotePublish(MicrosSince(start));
+  return generation;
+}
 
-  // Cancelled while queued: skip the work.
-  if (st.cancel_requested.load(std::memory_order_relaxed)) {
+void QueryEngine::RunTask(RequestState& st) {
+  if (!st.StartRun()) {
     metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-    QueryResult cancelled;
-    cancelled.status = StatusCode::kCancelled;
-    cancelled.latency_micros = MicrosSince(st.start);
-    st.TryFinalize(std::move(cancelled));
     return;
   }
-
-  // Expired while queued: release the slot without doing the work. A
-  // waiter whose deadline passed may already have finalized (and counted)
-  // the outcome; TryFinalize counts it here only if this finalize wins.
-  if (st.has_deadline && Clock::now() >= st.deadline) {
-    metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-    QueryResult expired;
-    expired.status = StatusCode::kDeadlineExceeded;
-    expired.latency_micros = MicrosSince(st.start);
-    st.TryFinalize(std::move(expired), &ServerMetrics::expired_in_queue);
-    return;
-  }
-
   QueryResult result;
-  std::shared_ptr<const Snapshot> snap = head_.load();
+  std::shared_ptr<const Snapshot> snap = chain_.snapshot();
   try {
-    api::VideoDatabase::QueryStats stats;
-    result.hits = snap->db.Query(spec, &stats);
-    metrics_.distance_computations.fetch_add(stats.distance_computations,
-                                             std::memory_order_relaxed);
-    metrics_.lb_prunes.fetch_add(stats.lb_prunes, std::memory_order_relaxed);
-    metrics_.early_abandons.fetch_add(stats.early_abandons,
-                                      std::memory_order_relaxed);
+    result.hits = st.Execute(snap->db);
   } catch (const std::exception&) {
-    // Typed failure instead of an exception escaping a runtime worker
-    // (the paged store's query path throws on I/O errors). Part of the
+    // Typed failure instead of an exception escaping a pool worker (the
+    // paged store's query path throws on I/O errors). Part of the
     // submit/complete contract: every request finalizes.
     metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-    QueryResult failed;
-    failed.status = StatusCode::kIoError;
-    failed.latency_micros = MicrosSince(st.start);
-    st.TryFinalize(std::move(failed));
+    st.TryFinalize(StatusCode::kIoError);
     return;
   }
+  // The token goes back before completion publishes the answer, so a
+  // caller whose Query returned sees its request gone from queue_depth.
   metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-  result.status = StatusCode::kOk;
   result.generation = snap->generation;
-  result.latency_micros = MicrosSince(st.start);
-  histogram->Record(result.latency_micros);
-
-  // Completed after the deadline with nobody having finalized yet (an
-  // async submitter that never called Wait): deliver the same outcome a
-  // waiter would have seen.
-  if (st.has_deadline && Clock::now() >= st.deadline) {
-    QueryResult expired;
-    expired.status = StatusCode::kDeadlineExceeded;
-    expired.latency_micros = result.latency_micros;
-    st.TryFinalize(std::move(expired), &ServerMetrics::deadline_exceeded);
-    return;
-  }
-  st.TryFinalize(std::move(result));
+  st.Complete(std::move(result));
 }
 
 QueryHandle QueryEngine::Submit(const api::QuerySpec& spec,
                                 const api::SubmitOptions& opts,
                                 CompletionFn on_complete) {
-  const auto start = Clock::now();
-  LatencyHistogram* histogram = HistogramFor(spec.kind);
-
-  auto state = std::make_shared<RequestState>();
-  state->start = start;
-  state->has_deadline = opts.timeout.count() != 0;
-  state->deadline = start + opts.timeout;
-  state->on_complete = std::move(on_complete);
-  state->metrics = &metrics_;
-  QueryHandle handle(state);
-
-  // Bounded admission: the queue-depth gauge doubles as the token counter.
-  int64_t depth =
-      metrics_.queue_depth.fetch_add(1, std::memory_order_relaxed) + 1;
-  metrics_.NoteQueueDepth(depth);
-  if (depth > static_cast<int64_t>(opts_.max_pending)) {
-    metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-    metrics_.rejected_overloaded.fetch_add(1, std::memory_order_relaxed);
-    QueryResult rejected;
-    rejected.status = StatusCode::kOverloaded;
-    rejected.latency_micros = MicrosSince(start);
-    state->TryFinalize(std::move(rejected));
-    return handle;
+  auto state = std::make_shared<RequestState>(spec, opts,
+                                              std::move(on_complete),
+                                              &metrics_);
+  if (state->Admit(opts_.max_pending)) {
+    pool_.Post([this, state] { RunTask(*state); });
   }
-  metrics_.admitted.fetch_add(1, std::memory_order_relaxed);
-
-  bool posted = runtime_->Post(
-      [this, state, spec, histogram] { RunTask(state, spec, histogram); });
-  if (!posted) {
-    // The shared runtime's submission queue is full — shed here too,
-    // releasing the admission slot the task will now never release.
-    metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-    metrics_.rejected_overloaded.fetch_add(1, std::memory_order_relaxed);
-    QueryResult rejected;
-    rejected.status = StatusCode::kOverloaded;
-    rejected.latency_micros = MicrosSince(start);
-    state->TryFinalize(std::move(rejected));
-  }
-  return handle;
-}
-
-std::vector<api::VideoDatabase::QueryHit> QueryEngine::ExecuteShardLeg(
-    const api::QuerySpec& spec, double initial_tau,
-    api::VideoDatabase::QueryStats* stats, uint64_t* generation) const {
-  std::shared_ptr<const Snapshot> snap = head_.load();
-  if (generation != nullptr) *generation = snap->generation;
-  return snap->db.Query(spec, stats, initial_tau);
+  return QueryHandle(std::move(state));
 }
 
 }  // namespace strg::server

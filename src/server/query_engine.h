@@ -5,17 +5,18 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "api/query_spec.h"
 #include "api/status.h"
 #include "core/video_database.h"
-#include "server/async_runtime.h"
 #include "server/metrics.h"
 #include "util/sync.h"
+#include "util/thread_pool.h"
 
 namespace strg::server {
 
@@ -29,19 +30,13 @@ using StatusCode = api::StatusCode;
 using api::StatusCodeName;
 
 struct EngineOptions {
-  /// Worker threads executing queries (0 = hardware concurrency). Ignored
-  /// when `runtime` is set (the shared runtime sizes its own pool).
+  /// Worker threads of the engine's own pool (0 = hardware concurrency).
   size_t num_threads = 2;
   /// Max requests admitted but not yet finished (queued + running). The
   /// bound is what turns overload into fast typed rejections instead of an
-  /// unbounded queue whose latency grows without limit.
+  /// unbounded queue whose latency grows without limit, and it is the only
+  /// bound on the pool's queue.
   size_t max_pending = 256;
-  /// External request runtime to execute on (not owned; must outlive the
-  /// engine). nullptr = the engine owns a private runtime sized by
-  /// num_threads. A ShardedQueryEngine injects one shared runtime into all
-  /// of its shard engines so per-shard fan-out tasks share one worker pool
-  /// and one bounded submission queue.
-  AsyncRuntime* runtime = nullptr;
 };
 
 struct QueryResult {
@@ -55,30 +50,42 @@ struct QueryResult {
 
 /// Completion callback of the submit/complete surface. Invoked exactly
 /// once per submitted request, with the final QueryResult, by whichever
-/// thread finalizes the request: a runtime worker (normal completion), the
+/// thread finalizes the request: a pool worker (normal completion), the
 /// submitting thread (admission rejection), a waiter whose deadline passed,
 /// or a canceller. Runs before any Wait() on the
 /// handle returns, so a caller may tear down callback-captured state as
 /// soon as Wait comes back. Must not block (waiting on the same handle
 /// inside the callback deadlocks) and must not re-enter the engine's
-/// write path.
+/// write path. It may submit a follow-up request, even while the engine is
+/// being destroyed: the pool drains it before its workers join.
 using CompletionFn = std::function<void(const QueryResult&)>;
 
-/// Shared mutable state of one submitted request — the rendezvous between
-/// the submitting thread (via QueryHandle), the runtime worker executing
-/// the task, and the completion callback. Exactly one finalization wins
-/// (TryFinalize's CAS), so late losers — a worker finishing after the
-/// waiter's deadline fired, a cancel racing normal completion — are
-/// silently dropped and every per-request metric is counted once.
+/// One submitted request: what was asked, the rendezvous between the
+/// submitting thread (via QueryHandle), the pool worker executing it and
+/// the completion callback, and the lifecycle steps both serving engines
+/// run it through — Admit at submit, StartRun when a worker picks it up,
+/// Execute against a snapshot, Complete with the answer. Exactly one
+/// finalization wins (TryFinalize's CAS), so late losers — a worker
+/// finishing after the waiter's deadline fired, a cancel racing normal
+/// completion — are silently dropped and every per-request metric is
+/// counted once. The engines differ only in when they give their
+/// admission token back: QueryEngine when its one task is done,
+/// ShardedQueryEngine when the request's last leg is.
 struct RequestState {
   using Clock = std::chrono::steady_clock;
 
-  // Immutable after Submit.
+  /// `metrics` is the submitting engine's registry (not owned): admission
+  /// takes its token there, and every outcome and counter lands there.
+  RequestState(const api::QuerySpec& spec, const api::SubmitOptions& opts,
+               CompletionFn on_complete, ServerMetrics* metrics);
+
+  // Immutable after construction.
+  api::QuerySpec spec;
   Clock::time_point start;
   Clock::time_point deadline;
   bool has_deadline = false;
   CompletionFn on_complete;
-  ServerMetrics* metrics = nullptr;  ///< NoteStatus sink (not owned)
+  ServerMetrics* metrics = nullptr;
 
   /// Set by QueryHandle::Cancel. A task that has not started yet converts
   /// this into a kCancelled completion without doing the work; a task
@@ -92,12 +99,41 @@ struct RequestState {
   bool done STRG_GUARDED_BY(mu) = false;
   QueryResult result STRG_GUARDED_BY(mu);
 
+  /// Bounded admission: takes one token from metrics->queue_depth. Past
+  /// `max_pending` it gives the token back, finalizes the request
+  /// kOverloaded on the calling thread and returns false. On true the
+  /// caller holds the token and gives it back when the engine is done with
+  /// the request.
+  bool Admit(size_t max_pending) STRG_EXCLUDES(mu);
+
+  /// The worker's pre-run check. A request cancelled or expired while
+  /// queued is finalized here (kCancelled, or kDeadlineExceeded counted in
+  /// expired_in_queue if this finalize wins); one already finalized
+  /// elsewhere is skipped. Returns true when the work should run.
+  bool StartRun() STRG_EXCLUDES(mu);
+
+  /// Runs `spec` against `db`, seeding kNN pruning with `initial_tau`, and
+  /// folds the query's distance-kernel counters into the registry.
+  std::vector<api::VideoDatabase::QueryHit> Execute(
+      const api::VideoDatabase& db,
+      double initial_tau = std::numeric_limits<double>::infinity()) const;
+
+  /// Completion: stamps kOk and the latency, records it in the latency
+  /// histogram of spec.kind, and finalizes. An answer that arrives after the deadline with nobody
+  /// having finalized yet (an async submitter that never called Wait)
+  /// finalizes kDeadlineExceeded instead, counted in deadline_exceeded.
+  void Complete(QueryResult r) STRG_EXCLUDES(mu);
+
   /// First caller wins: records the outcome (NoteStatus, and `counter` of
   /// the same registry when given, exactly once), publishes it to waiters,
   /// and invokes the completion callback. Counting comes first, so anyone
   /// who sees the outcome sees it counted. Returns false when someone else
   /// already finalized (the result is dropped, nothing is counted).
   bool TryFinalize(QueryResult r,
+                   std::atomic<uint64_t> ServerMetrics::*counter = nullptr)
+      STRG_EXCLUDES(mu);
+  /// TryFinalize with an answerless result: `code` and the latency so far.
+  bool TryFinalize(StatusCode code,
                    std::atomic<uint64_t> ServerMetrics::*counter = nullptr)
       STRG_EXCLUDES(mu);
   bool Done() const STRG_EXCLUDES(mu);
@@ -113,6 +149,9 @@ struct RequestState {
 class QueryHandle {
  public:
   QueryHandle() = default;
+  /// The handle over a submitted request (built by the engines' Submit).
+  explicit QueryHandle(std::shared_ptr<RequestState> state)
+      : state_(std::move(state)) {}
 
   bool valid() const { return state_ != nullptr; }
   /// Non-blocking: has the request finalized?
@@ -132,11 +171,6 @@ class QueryHandle {
   QueryResult Wait() STRG_EXCLUDES_DYNAMIC(RequestState::mu);
 
  private:
-  friend class QueryEngine;
-  friend class ShardedQueryEngine;
-  explicit QueryHandle(std::shared_ptr<RequestState> state)
-      : state_(std::move(state)) {}
-
   std::shared_ptr<RequestState> state_;
 };
 
@@ -150,71 +184,34 @@ struct Snapshot {
   api::VideoDatabase db;
 };
 
-/// Epoch pointer to the published Snapshot. store/load are a constant-time
-/// shared_ptr copy under a mutex — deliberately NOT std::atomic<shared_ptr>:
-/// libstdc++ 12's lock-bit protocol for it is opaque to ThreadSanitizer and
-/// drowns real races in false reports. The critical section is a refcount
-/// bump (~ns); queries (~us..ms) never execute under it. Swapping in a
-/// lock-free scheme (hazard pointers / RCU) later only touches this class.
-class SnapshotHolder {
- public:
-  explicit SnapshotHolder(std::shared_ptr<const Snapshot> initial)
-      : ptr_(std::move(initial)) {}
-
-  std::shared_ptr<const Snapshot> load() const STRG_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return ptr_;
-  }
-  void store(std::shared_ptr<const Snapshot> next) STRG_EXCLUDES(mu_) {
-    // Swap under the lock, destroy outside it: dropping the last reference
-    // to a displaced generation releases one pointer per root and frees the
-    // records no newer generation shares, and kSnapshot is a leaf rank —
-    // teardown must not run while it is held.
-    std::shared_ptr<const Snapshot> displaced;
-    {
-      MutexLock lock(mu_);
-      displaced = std::move(ptr_);
-      ptr_ = std::move(next);
-    }
-  }
-
- private:
-  mutable Mutex mu_{LockRank::kSnapshot};
-  std::shared_ptr<const Snapshot> ptr_ STRG_GUARDED_BY(mu_);
-};
-
-/// Concurrent query-serving front-end over api::VideoDatabase.
+/// A chain of published index generations: the write half of a serving
+/// engine. QueryEngine holds one; ShardedQueryEngine holds one per shard.
 ///
-/// Concurrency model — snapshot isolation via copy-on-write epochs:
-///  - Writers (AddVideo / AddObjectGraph) serialize on a mutex, clone the
-///    current generation, mutate the clone, and atomically publish it.
-///    A writer never touches a published Snapshot.
+/// Snapshot isolation via copy-on-write epochs:
+///  - Writers (AddVideo / AddObjectGraph) serialize on writer_mu_, clone
+///    the current generation, mutate the clone, and publish it. A writer
+///    never touches a published Snapshot.
 ///  - The clone shares structure: it copies one pointer per index root
 ///    (plus one per 64 OG records), and the write path-copies only the
 ///    root and cluster it changes. A publish therefore costs O(#roots +
 ///    touched cluster), not O(database).
-///  - Readers grab the current Snapshot (a constant-time epoch-pointer
-///    copy) and run the whole query against that immutable generation: no
-///    lock is held during query execution, so there are no torn reads and
-///    no half-inserted trees.
+///  - Readers grab the current Snapshot (snapshot(): a constant-time
+///    epoch-pointer copy) and run the whole query against that immutable
+///    generation: no lock is held during query execution, so there are no
+///    torn reads and no half-inserted trees.
 ///
-/// Request path — submit/complete over the async runtime:
-///   Submit runs bounded admission, then posts the execution task to the
-///   runtime and returns a QueryHandle. Completion flows through
-///   RequestState: the worker finalizes the result, waiters are notified,
-///   and the completion callback fires exactly once. The blocking
-///   Query(spec) is Submit(...).Wait() — the old thread-per-request future
-///   plumbing is gone, and all pre-redesign call sites behave
-///   bit-identically.
-class QueryEngine {
+/// The epoch pointer is a shared_ptr copied under a mutex — deliberately
+/// NOT std::atomic<shared_ptr>: libstdc++ 12's lock-bit protocol for it is
+/// opaque to ThreadSanitizer and drowns real races in false reports. The
+/// critical section is a refcount bump (~ns); queries (~us..ms) never
+/// execute under it. Swapping in a lock-free scheme (hazard pointers /
+/// RCU) later only touches this class.
+class SnapshotChain {
  public:
-  explicit QueryEngine(index::StrgIndexParams params = {},
-                       EngineOptions opts = {});
+  explicit SnapshotChain(index::StrgIndexParams params);
 
-  QueryEngine(const QueryEngine&) = delete;
-  QueryEngine& operator=(const QueryEngine&) = delete;
-
-  // ---- Writers (copy-on-write publish; serialized among themselves). ----
+  SnapshotChain(const SnapshotChain&) = delete;
+  SnapshotChain& operator=(const SnapshotChain&) = delete;
 
   /// Indexes a processed segment under `name`. Returns the new generation;
   /// `*segment_id` (optional) receives the root/segment id for later
@@ -238,9 +235,65 @@ class QueryEngine {
   /// pre-crash generation numbers must still see Generation() >= theirs.
   void RestoreGeneration(uint64_t generation) STRG_EXCLUDES(writer_mu_);
 
+  /// The currently published generation (constant-time epoch read).
+  std::shared_ptr<const Snapshot> snapshot() const STRG_EXCLUDES(mu_);
+  uint64_t Generation() const { return snapshot()->generation; }
+
+ private:
+  /// Clone-mutate-publish under writer_mu_; the published Snapshot itself
+  /// is immutable, so readers never take this lock.
+  template <typename MutateFn>
+  uint64_t Publish(MutateFn&& mutate) STRG_EXCLUDES(writer_mu_);
+  void Store(std::shared_ptr<const Snapshot> next) STRG_EXCLUDES(mu_);
+
+  /// Serializes writers (the clone-mutate-publish window). It guards the
+  /// *protocol*, not a field: the data being built is the local `next`
+  /// snapshot, and publication goes through mu_.
+  Mutex writer_mu_{LockRank::kEngineWriter};
+  mutable Mutex mu_{LockRank::kSnapshot};
+  std::shared_ptr<const Snapshot> head_ STRG_GUARDED_BY(mu_);
+};
+
+/// Concurrent query-serving front-end over api::VideoDatabase: one
+/// SnapshotChain (writers publish copy-on-write generations, readers query
+/// an immutable one), bounded admission, and the engine's own ThreadPool.
+///
+/// Request path — submit/complete: Submit builds the RequestState, runs
+/// admission, and posts one task to the pool, returning a QueryHandle. The
+/// worker runs the pre-run check, queries the current snapshot, and
+/// completes the request: waiters are notified and the completion callback
+/// fires exactly once. At most `max_pending` tasks are ever queued or
+/// running, and kOverloaded comes only from admission. The pool is this
+/// engine's alone and is declared last, so it drains first. The blocking
+/// Query(spec) is Submit(...).Wait().
+class QueryEngine {
+ public:
+  explicit QueryEngine(index::StrgIndexParams params = {},
+                       EngineOptions opts = {});
+
+  QueryEngine(const QueryEngine&) = delete;
+  QueryEngine& operator=(const QueryEngine&) = delete;
+
+  // ---- Writers (copy-on-write publish; serialized among themselves). ----
+
+  /// SnapshotChain::AddVideo, counted in the ingest metrics.
+  uint64_t AddVideo(const std::string& name,
+                    const api::SegmentResult& segment,
+                    int* segment_id = nullptr);
+
+  /// SnapshotChain::AddObjectGraph, counted in the ingest metrics.
+  uint64_t AddObjectGraph(int segment_id, const std::string& video,
+                          const core::Og& og,
+                          const dist::FeatureScaling& scaling);
+
+  /// See SnapshotChain::RestoreGeneration.
+  void RestoreGeneration(uint64_t generation) {
+    chain_.RestoreGeneration(generation);
+  }
+
   // ---- Readers (admission-controlled, snapshot-isolated). ----
 
-  /// The headline entry point: submits the request into the async runtime
+  /// The headline entry point: admits the request, posts it to the pool
   /// and returns a handle. `on_complete` (optional) fires exactly once
   /// with the final result. An overload rejection finalizes before Submit
   /// returns (the callback then runs on the calling thread).
@@ -256,10 +309,12 @@ class QueryEngine {
 
   // ---- Introspection. ----
 
-  /// Currently published generation (constant-time epoch read). Tests query
-  /// the returned snapshot's db directly to validate immutability.
-  std::shared_ptr<const Snapshot> snapshot() const { return head_.load(); }
-  uint64_t Generation() const { return snapshot()->generation; }
+  /// Currently published generation. Tests query the returned snapshot's
+  /// db directly to validate immutability.
+  std::shared_ptr<const Snapshot> snapshot() const {
+    return chain_.snapshot();
+  }
+  uint64_t Generation() const { return chain_.Generation(); }
 
   const ServerMetrics& metrics() const { return metrics_; }
   /// Mutable registry access for layers that wrap the engine and account
@@ -269,45 +324,17 @@ class QueryEngine {
     return metrics_.ToJson(Generation());
   }
 
-  AsyncRuntime& runtime() { return *runtime_; }
-
  private:
-  friend class ShardedQueryEngine;
-
-  /// Picks the per-kind latency histogram (attribution parity with the old
-  /// dedicated entry points).
-  LatencyHistogram* HistogramFor(api::QuerySpec::Kind kind);
-
-  /// The worker-side execution: deadline/cancel checks, snapshot query,
-  /// metrics, finalization. Runs on a runtime worker.
-  void RunTask(const std::shared_ptr<RequestState>& state,
-               const api::QuerySpec& spec, LatencyHistogram* histogram);
-
-  /// Scatter-gather hook for ShardedQueryEngine: one shard leg executed
-  /// synchronously on the caller's (worker) thread against the current
-  /// snapshot. `initial_tau` seeds kNN pruning with the gatherer's running
-  /// global worst-of-k.
-  std::vector<api::VideoDatabase::QueryHit> ExecuteShardLeg(
-      const api::QuerySpec& spec, double initial_tau,
-      api::VideoDatabase::QueryStats* stats, uint64_t* generation) const;
-
-  /// Clone-mutate-publish under writer_mu_; the published Snapshot itself
-  /// is immutable, so readers never take this lock.
-  template <typename MutateFn>
-  uint64_t Publish(MutateFn&& mutate) STRG_EXCLUDES(writer_mu_);
+  /// The pool task: pre-run check, snapshot query, token release,
+  /// completion.
+  void RunTask(RequestState& st);
 
   EngineOptions opts_;
   ServerMetrics metrics_;
-  /// Serializes writers (the clone-mutate-publish window). It guards the
-  /// *protocol*, not a field: the data being built is the local `next`
-  /// snapshot, and publication goes through head_'s own mutex.
-  Mutex writer_mu_{LockRank::kEngineWriter};
-  SnapshotHolder head_;
-  /// Declared last: destroyed first, so accepted tasks drain while the
-  /// members they reference are still alive. Null when an external runtime
-  /// was injected (runtime_ then points at it and outlives us by contract).
-  std::unique_ptr<AsyncRuntime> owned_runtime_;
-  AsyncRuntime* runtime_ = nullptr;
+  SnapshotChain chain_;
+  /// Declared last: destroyed first, so queued tasks drain while the
+  /// members they reference are still alive.
+  ThreadPool pool_;
 };
 
 }  // namespace strg::server

@@ -10,41 +10,46 @@
 #include <vector>
 
 #include "api/query_spec.h"
-#include "server/async_runtime.h"
 #include "server/metrics.h"
 #include "server/query_engine.h"
 #include "util/sync.h"
+#include "util/thread_pool.h"
 
 namespace strg::server {
 
 struct ShardedEngineOptions {
   /// Catalog partitions. 1 reproduces a single QueryEngine exactly.
   size_t num_shards = 4;
-  /// Workers in the shared runtime (0 = hardware concurrency).
+  /// Worker threads of the engine's own pool (0 = hardware concurrency).
   size_t num_threads = 0;
   /// Max *requests* (not legs) admitted but not finished, across all
   /// shards — the global admission bound that turns overload into typed
-  /// kOverloaded rejections.
+  /// kOverloaded rejections. A request fans into at most num_shards legs,
+  /// so the pool never holds more than num_shards x max_pending of them.
   size_t max_pending = 256;
-  /// Shared submission-queue bound for the per-shard leg tasks.
-  size_t runtime_max_queue = 4096;
 };
 
 /// Scatter-gather serving over a hash-partitioned catalog.
 ///
 /// Partitioning: videos hash by name onto N shards (ShardFor), each shard
-/// a full QueryEngine with its own copy-on-write snapshot chain. Ingest
-/// routes each write to its video's shard, where the publish path-copies
-/// the touched root and cluster (as in the unsharded engine), and a
-/// temporal (kActive) query scans 1/N of the records.
+/// a SnapshotChain: its own copy-on-write generations, no workers and no
+/// admission of its own. Ingest routes each write to its video's shard,
+/// where the publish path-copies the touched root and cluster (as in the
+/// unsharded engine), and a temporal (kActive) query scans 1/N of the
+/// records.
 ///
-/// Query path: Submit takes one global admission token, then fans the
-/// request out as per-shard leg tasks on the shared AsyncRuntime. kNN legs read the gather's running worst-of-k
-/// distance (tau) before executing and seed the shard search with it, so
-/// shards that start after others have finished prune against the best
-/// global answer so far — the scatter-gather counterpart of the paper's
-/// single-index branch-and-bound. The last leg to finish merges by
-/// (distance, global og id) and finalizes the request.
+/// Query path: Submit takes one admission token for the whole request
+/// (RequestState::Admit, as in QueryEngine), then posts one leg task per
+/// participating shard to the engine's own ThreadPool (shared with no
+/// other engine and declared last, so it drains first); admission is the
+/// only bound on that queue and the only source of kOverloaded. A leg runs
+/// the request's pre-run check and queries its shard's current snapshot.
+/// kNN legs read the gather's running worst-of-k distance (tau) before
+/// executing and seed the shard search with it, so shards that start after
+/// others have finished prune against the best global answer so far — the
+/// scatter-gather counterpart of the paper's single-index branch-and-bound.
+/// The last leg to finish gives the token back, merges by (distance, global
+/// og id) and completes the request.
 ///
 /// Answers are bit-identical to an unsharded engine fed the same writes in
 /// the same order (assuming distinct distances; exact ties order by global
@@ -63,8 +68,7 @@ class ShardedQueryEngine {
   ShardedQueryEngine(const ShardedQueryEngine&) = delete;
   ShardedQueryEngine& operator=(const ShardedQueryEngine&) = delete;
 
-  /// Drains in-flight legs (the runtime is destroyed first), then the
-  /// shard engines.
+  /// Drains queued legs (the pool is destroyed first), then the shards.
   ~ShardedQueryEngine();
 
   /// Stable video -> shard routing (seeded FNV over the name). Exposed so
@@ -107,14 +111,12 @@ class ShardedQueryEngine {
     return generation_.load(std::memory_order_acquire);
   }
   size_t NumShards() const { return shards_.size(); }
-  /// Direct access to one shard engine (tests; read-only use).
-  const QueryEngine& shard(size_t s) const { return *shards_[s]; }
+  /// One shard's snapshot chain (tests and tools; read-only use).
+  const SnapshotChain& shard(size_t s) const { return *shards_[s]; }
 
   const ServerMetrics& metrics() const { return metrics_; }
   /// Global registry + per-shard breakdown ("shards" array).
   std::string MetricsJson() const;
-
-  AsyncRuntime& runtime() { return runtime_; }
 
  private:
   /// Per-shard serving counters (relaxed; scraped into
@@ -132,11 +134,16 @@ class ShardedQueryEngine {
   size_t RouteShard(std::string_view video) const {
     return ShardFor(video, shards_.size());
   }
-  /// One shard leg, on a runtime worker: skip checks, tau read, shard
-  /// search, id remap, merge; the last leg finalizes the request.
+  /// One shard leg, on a pool worker: pre-run check, tau read, shard
+  /// search, id remap, merge; the last leg finishes the request.
   void RunLeg(const std::shared_ptr<Gather>& g, size_t shard);
-  /// Completion by the last leg: sort/truncate, finalize.
-  void FinishGather(const std::shared_ptr<Gather>& g);
+  /// Maps a leg's shard-local hits to global ids and merges them into `g`,
+  /// tightening tau once k kNN hits are in.
+  void Merge(Gather* g, size_t shard,
+             std::vector<api::VideoDatabase::QueryHit> local)
+      STRG_EXCLUDES(map_mu_);
+  /// Run by the last leg: token release, sort, completion.
+  void FinishGather(Gather& g);
 
   ShardedEngineOptions opts_;
   ServerMetrics metrics_;
@@ -159,11 +166,10 @@ class ShardedQueryEngine {
   size_t next_global_id_ STRG_GUARDED_BY(map_mu_) = 0;
 
   std::vector<std::unique_ptr<ShardStats>> shard_stats_;
-  std::vector<std::unique_ptr<QueryEngine>> shards_;
+  std::vector<std::unique_ptr<SnapshotChain>> shards_;
   /// Declared last: destroyed first, draining posted legs while the shard
-  /// engines, maps, and metrics they touch are all still alive. Shard
-  /// engines execute on this runtime (EngineOptions::runtime).
-  AsyncRuntime runtime_;
+  /// chains, maps, and metrics they touch are all still alive.
+  ThreadPool pool_;
 };
 
 }  // namespace strg::server

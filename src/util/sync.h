@@ -108,27 +108,29 @@ namespace strg {
 ///
 /// The deepest legal chains today (see DESIGN.md §15 for the full graph):
 ///   write:  kIngestSharded -> kShardMap
-///           kIngestSharded/kIngestDurable -> kEngineWriter
+///           kIngestSharded/kIngestDurable -> kEngineWriter (a
+///             SnapshotChain's clone-mutate-publish window)
 ///             -> kRecordStore, -> kBufferCache, -> kSnapshot, -> kThreadPool
-///   query:  kGatherMerge / kRequestState / kSnapshot / kRecordStore /
-///           kBufferCache (taken one at a time along a leg; a paged read
-///           holds the store mutex only to copy a record off the tail page
-///           and pins sealed pages without it, so the two never nest)
+///   query:  kThreadPool / kGatherMerge / kRequestState / kSnapshot /
+///           kRecordStore / kBufferCache (taken one at a time: an engine
+///           posts a request or leg to its pool with no lock held, and a
+///           paged read holds the store mutex only to copy a record off the
+///           tail page and pins sealed pages without it, so the two never
+///           nest)
 enum class LockRank : int {
   kUnranked = 0,        ///< exempt: test/example/scratch locks
   kIngestSharded = 100, ///< ShardedQueryEngine::ingest_mu_ (global write order)
   kIngestDurable = 200, ///< DurableQueryEngine::ingest_mu_ (WAL+publish window)
   kShardMap = 300,      ///< ShardedQueryEngine::map_mu_ (local->global ids)
-  kEngineWriter = 400,  ///< QueryEngine::writer_mu_ (clone-mutate-publish)
+  kEngineWriter = 400,  ///< SnapshotChain::writer_mu_ (clone-mutate-publish)
   kGatherMerge = 500,   ///< ShardedQueryEngine::Gather::merge_mu
   kRequestState = 700,  ///< RequestState::mu (completion rendezvous)
   kRecordStore = 800,   ///< PagedRecordStore::mu_ (the tail page)
   kBufferCache = 900,   ///< BufferCache::Shard::mu (frame pin/evict)
-  kSnapshot = 1000,     ///< SnapshotHolder::mu_ (epoch pointer; leaf)
+  kSnapshot = 1000,     ///< SnapshotChain::mu_ (epoch pointer; leaf)
   kThreadPool = 1100,   ///< ThreadPool::mutex_ (task queue)
   kPoolError = 1200,    ///< ThreadPool::ParallelFor error_mutex
   kPoolDone = 1300,     ///< ThreadPool::ParallelFor done_mutex
-  kAsyncRuntime = 1400, ///< AsyncRuntime::mu_ (submission queue; leaf)
 };
 
 /// Stable name for diagnostics (abort messages, lock_graph.py dot labels).
@@ -147,7 +149,6 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kThreadPool: return "kThreadPool";
     case LockRank::kPoolError: return "kPoolError";
     case LockRank::kPoolDone: return "kPoolDone";
-    case LockRank::kAsyncRuntime: return "kAsyncRuntime";
   }
   return "unknown";
 }
@@ -397,8 +398,7 @@ class CondVar {
   /// returning. Returns false iff the deadline passed — callers re-check
   /// their predicate either way, exactly as with Wait(). This is what lets
   /// the serving layer wait on a request handle with a per-request deadline
-  /// without busy-waiting (the async-runtime replacement for the old
-  /// std::future::wait_until path).
+  /// without busy-waiting.
   template <typename TimePoint>
   bool WaitUntil(Mutex& mu, const TimePoint& deadline) STRG_REQUIRES(mu) {
     std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);

@@ -24,6 +24,14 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
+void ThreadPool::Post(std::function<void()> task) {
+  {
+    MutexLock lock(mutex_);
+    tasks_.push(std::move(task));
+  }
+  cv_.NotifyOne();
+}
+
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;

@@ -6,7 +6,6 @@
 #include <future>
 #include <memory>
 #include <queue>
-#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -18,14 +17,23 @@ namespace strg {
 
 /// Minimal fixed-size thread pool.
 ///
-/// Two usage modes:
+/// Three entry points:
 ///  - ParallelFor: data-parallel loops (EM's K x M distance matrix, index
 ///    builds) — chunks an index range over the workers and blocks until
 ///    every chunk finished. Exceptions thrown by the body are rethrown on
 ///    the calling thread.
-///  - Submit: one-off tasks returning a std::future — the serving layer's
-///    QueryEngine executes admitted queries this way, so callers can wait
-///    with a deadline (future::wait_until) instead of busy-waiting.
+///  - Post: fire-and-forget tasks. Each serving engine (QueryEngine,
+///    ShardedQueryEngine) owns one pool and posts every admitted request,
+///    or each of its shard legs, here; the task reports its outcome through
+///    the request's own completion state, and the engine's admission bound
+///    (max_pending) is what bounds the queue.
+///  - Submit: a posted task that returns a std::future — the pipeline's
+///    OrderedStage hands frames to the segmentation workers this way.
+///
+/// Post never refuses a task. The destructor drains: tasks queued when it
+/// runs still execute, and so does a task that a running task posts
+/// meanwhile (a completion callback submitting a follow-up request), since
+/// the worker that posted it checks the queue again before it exits.
 class ThreadPool {
  public:
   /// `threads` = 0 picks the hardware concurrency (at least 1).
@@ -43,9 +51,13 @@ class ThreadPool {
                    const std::function<void(size_t)>& body)
       STRG_EXCLUDES(mutex_);
 
-  /// Schedules `f()` on the pool and returns a future for its result.
-  /// Exceptions propagate through the future. Tasks already queued when the
-  /// pool is destroyed still run to completion before the workers join.
+  /// Schedules `task` on the pool. Never blocks beyond the queue mutex and
+  /// never refuses, also while the destructor drains (see the class
+  /// comment). `task` must not throw: nothing catches it on the worker.
+  void Post(std::function<void()> task) STRG_EXCLUDES(mutex_);
+
+  /// Posts `f()` and returns a future for its result. Exceptions propagate
+  /// through the future.
   template <typename F>
   auto Submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>>
       STRG_EXCLUDES(mutex_) {
@@ -53,14 +65,7 @@ class ThreadPool {
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
     std::future<R> result = task->get_future();
-    {
-      MutexLock lock(mutex_);
-      if (stop_) {
-        throw std::runtime_error("ThreadPool::Submit on stopped pool");
-      }
-      tasks_.push([task] { (*task)(); });
-    }
-    cv_.NotifyOne();
+    Post([task] { (*task)(); });
     return result;
   }
 

@@ -115,7 +115,7 @@ TEST(DeadlockRank, FailedTryLockDoesNotLeakARank) {
 }
 
 TEST(DeadlockRank, RanksClearAfterReleaseSoLowerIsLegalAgain) {
-  Mutex high{LockRank::kAsyncRuntime};
+  Mutex high{LockRank::kPoolDone};
   Mutex low{LockRank::kIngestSharded};
   { MutexLock l(high); }
   MutexLock l2(low);  // high was released: no ordering constraint remains

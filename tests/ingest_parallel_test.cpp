@@ -19,7 +19,6 @@
 #include "core/pipeline.h"
 #include "segment/mean_shift.h"
 #include "segment/segmenter.h"
-#include "server/metrics.h"
 #include "storage/serializer.h"
 #include "util/ordered_stage.h"
 #include "util/thread_pool.h"
@@ -402,30 +401,6 @@ TEST(ParallelIngest, HandBuiltResultDerivesScaling) {
   EXPECT_FALSE(r.has_cached_scaling);
   EXPECT_EQ(r.Scaling().frame_width, 320.0);
   EXPECT_EQ(r.Scaling().frame_height, 240.0);
-}
-
-// ---- ingest counters in server metrics ----------------------------------
-
-TEST(ParallelIngest, ServerMetricsExposeIngestCounters) {
-  server::ServerMetrics metrics;
-  IngestStats stats;
-  stats.frames_segmented = 120;
-  stats.shots_processed = 3;
-  stats.queue_full_stalls = 7;
-  stats.segment_us = 5000;
-  stats.track_us = 1500;
-  stats.decompose_us = 800;
-  metrics.AddIngestPipeline(stats);
-  metrics.AddIngestPipeline(stats);  // counters accumulate
-
-  std::string json = metrics.ToJson(1);
-  EXPECT_NE(json.find("\"frames_segmented\":240"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"shots\":6"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"queue_stalls\":14"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"stage_us\":{\"segment\":10000,\"track\":3000,"
-                      "\"decompose\":1600}"),
-            std::string::npos)
-      << json;
 }
 
 TEST(ParallelIngest, PipelineStatsCountStages) {

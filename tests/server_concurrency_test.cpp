@@ -6,6 +6,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -256,21 +257,22 @@ TEST(ServerConcurrency, ExpiredDeadlineYieldsDeadlineExceeded) {
 // worker must not count the same outcome again as expired_in_queue.
 TEST(ServerConcurrency, DeadlineOutcomeIsCountedOnce) {
   Fixture fx = MakeFixture(8, 9);
-  AsyncRuntime::Options ro;
-  ro.num_threads = 1;
-  AsyncRuntime runtime(ro);  // declared first: must outlive the engine
   EngineOptions opts;
-  opts.runtime = &runtime;
+  opts.num_threads = 1;
   QueryEngine engine(FastIndex(), opts);
   engine.AddVideo("lab", fx.segment);
 
-  // Hold the only worker so the next request waits in the queue.
+  // Hold the engine's only worker so the next request waits in the queue:
+  // the first request's completion callback runs on it and blocks.
   std::atomic<bool> release{false};
-  ASSERT_TRUE(runtime.Post([&release] {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }));
+  QueryHandle holder =
+      engine.Submit(api::QuerySpec::Similar(fx.queries[0], 3), {},
+                    [&release](const QueryResult&) {
+                      while (!release.load()) {
+                        std::this_thread::sleep_for(
+                            std::chrono::microseconds(100));
+                      }
+                    });
 
   api::SubmitOptions tight;
   tight.timeout = std::chrono::milliseconds(5);
@@ -282,6 +284,7 @@ TEST(ServerConcurrency, DeadlineOutcomeIsCountedOnce) {
   release.store(true);
   QueryResult ok = engine.Query(api::QuerySpec::Similar(fx.queries[1], 3));
   ASSERT_EQ(ok.status, StatusCode::kOk);
+  ASSERT_EQ(holder.Wait().status, StatusCode::kOk);
 
   const ServerMetrics& m = engine.metrics();
   const uint64_t counted =
@@ -291,6 +294,38 @@ TEST(ServerConcurrency, DeadlineOutcomeIsCountedOnce) {
                 .load(),
             counted);
   EXPECT_EQ(m.queue_depth.load(), 0);
+}
+
+// A completion callback that submits a follow-up request while its engine
+// is being destroyed: the engine's pool drains the follow-up before its
+// workers join, so it runs against the still-live snapshot chain and
+// completes kOk. Admission is the only source of kOverloaded.
+TEST(ServerConcurrency, FollowUpSubmittedDuringDestructionCompletes) {
+  Fixture fx = MakeFixture(8, 17);
+  const api::QuerySpec knn = api::QuerySpec::Similar(fx.queries[1], 3);
+  std::atomic<bool> destroying{false};
+  std::atomic<int> follow_up_status{-1};
+  std::atomic<size_t> follow_up_hits{0};
+
+  EngineOptions opts;
+  opts.num_threads = 1;
+  auto engine = std::make_unique<QueryEngine>(FastIndex(), opts);
+  engine->AddVideo("lab", fx.segment);
+  QueryEngine* raw = engine.get();
+  engine->Submit(knn, {}, [&, raw](const QueryResult&) {
+    while (!destroying.load()) std::this_thread::yield();
+    // Let the destructor reach the pool's drain before submitting.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    raw->Submit(knn, {}, [&](const QueryResult& r) {
+      follow_up_hits.store(r.hits.size());
+      follow_up_status.store(static_cast<int>(r.status));
+    });
+  });
+  destroying.store(true);
+  engine.reset();
+
+  EXPECT_EQ(follow_up_status.load(), static_cast<int>(StatusCode::kOk));
+  EXPECT_EQ(follow_up_hits.load(), 3u);
 }
 
 TEST(ServerConcurrency, MetricsJsonReportsServingState) {

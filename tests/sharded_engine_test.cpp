@@ -2,7 +2,8 @@
 //
 // ShardedQueryEngine contract tests: answers bit-identical to an unsharded
 // QueryEngine fed the same write sequence (1/2/4/8 shards, in-RAM and
-// paged), tau scatter-pruning stays exact, overload sheds typed, and the
+// paged), tau scatter-pruning stays exact, overload sheds typed, a
+// follow-up submitted during destruction still runs, and the
 // cancel/deadline/writer race is clean under TSan.
 #include <gtest/gtest.h>
 
@@ -371,6 +372,40 @@ TEST(ShardedEngine, OverloadShedsTypedInsteadOfQueueing) {
   EXPECT_TRUE(r.hits.empty());
   EXPECT_EQ(r.generation, 0u);
   EXPECT_GE(sharded.metrics().rejected_overloaded.load(), 1u);
+}
+
+// A completion callback that submits a follow-up request while the engine
+// is being destroyed: the pool drains all four of the follow-up's legs
+// before its one worker joins, so the follow-up completes kOk instead of
+// being shed. Admission is the only source of kOverloaded.
+TEST(ShardedEngine, FollowUpSubmittedDuringDestructionCompletes) {
+  MultiFixture fx = MakeMultiFixture(/*num_videos=*/4, /*base_per_video=*/4,
+                                     /*seed=*/59);
+  const api::QuerySpec knn = api::QuerySpec::Similar(fx.queries[0], 3);
+  std::atomic<bool> destroying{false};
+  std::atomic<int> follow_up_status{-1};
+  std::atomic<size_t> follow_up_hits{0};
+
+  ShardedEngineOptions so;
+  so.num_shards = 4;
+  so.num_threads = 1;
+  auto sharded = std::make_unique<ShardedQueryEngine>(FastIndex(), so);
+  FeedAll(*sharded, fx);
+  ShardedQueryEngine* raw = sharded.get();
+  sharded->Submit(knn, {}, [&, raw](const QueryResult&) {
+    while (!destroying.load()) std::this_thread::yield();
+    // Let the destructor reach the pool's drain before submitting.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    raw->Submit(knn, {}, [&](const QueryResult& r) {
+      follow_up_hits.store(r.hits.size());
+      follow_up_status.store(static_cast<int>(r.status));
+    });
+  });
+  destroying.store(true);
+  sharded.reset();
+
+  EXPECT_EQ(follow_up_status.load(), static_cast<int>(StatusCode::kOk));
+  EXPECT_EQ(follow_up_hits.load(), 3u);
 }
 
 // The TSan target: writers publishing, clients submitting with deadlines,

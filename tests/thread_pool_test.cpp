@@ -97,10 +97,34 @@ TEST(ThreadPool, ManyConcurrentSubmitsAllComplete) {
   }
 }
 
+// The destructor drains: a task that submits another while the pool is
+// being destroyed still gets it run before the workers join.
+TEST(ThreadPool, TaskSubmittedDuringDestructorDrainRuns) {
+  std::atomic<bool> destroying{false};
+  std::atomic<bool> second_ran{false};
+  std::future<void> first;
+  std::future<void> second;
+  {
+    ThreadPool pool(1);
+    first = pool.Submit([&] {
+      while (!destroying.load()) std::this_thread::yield();
+      // Let the destructor stop the pool before submitting.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      second = pool.Submit([&] { second_ran.store(true); });
+    });
+    destroying.store(true);
+  }
+  EXPECT_NO_THROW(first.get());
+  EXPECT_TRUE(second_ran.load());
+  ASSERT_TRUE(second.valid());
+  EXPECT_EQ(second.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+}
+
 TEST(ThreadPool, SubmittedTasksWaitableWithDeadline) {
   ThreadPool pool(1);
   // A queued task behind a slow one: wait_for with a generous deadline must
-  // succeed; the QueryEngine relies on this instead of busy-waiting.
+  // succeed instead of busy-waiting.
   std::future<void> slow = pool.Submit(
       [] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
   std::future<int> queued = pool.Submit([] { return 5; });
