@@ -35,18 +35,17 @@ inline void Banner(const std::string& figure, const std::string& what) {
 
 /// Accumulates named tables/scalars and writes them as a BENCH_*.json —
 /// the machine-readable twin of the stdout report every harness prints.
-/// Each bench passes the literal artifact name (e.g. "BENCH_fig7.json") so
-/// the repo linter (strg-bench-json) can see which report the file owns.
+/// It is the only bench report writer: each bench constructs one with the
+/// literal artifact name (e.g. "BENCH_fig7.json"), which is what the repo
+/// linter (strg-bench-json) checks for. Booleans go in as 1/0 scalars.
 ///
 /// Every report leads with the host/kernel context that makes its numbers
 /// comparable across machines and dispatch tiers: the active simd tier, the
-/// host's hardware_concurrency, and the padded point stride (the
-/// strg-bench-simd-tier linter rule; hand-rolled reports record the same
-/// fields themselves).
+/// host's hardware_concurrency, and the padded point stride.
 class JsonReport {
  public:
-  explicit JsonReport(std::string path) : path_(std::move(path)) {
-    json_ = "{";
+  explicit JsonReport(std::string path)
+      : path_(std::move(path)), json_("{") {
     AddString("simd_tier", dist::simd::TierName(dist::simd::ActiveTier()));
     AddScalar("hardware_concurrency",
               static_cast<double>(std::thread::hardware_concurrency()));

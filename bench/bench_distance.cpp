@@ -21,19 +21,13 @@
 //
 // Output: human-readable stdout + BENCH_distance.json.
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <limits>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "bench_common.h"
 #include "distance/dtw.h"
 #include "distance/edr.h"
@@ -43,37 +37,13 @@
 #include "index/strg_index.h"
 #include "synth/generator.h"
 #include "util/random.h"
-
-// ---- global allocation counter (part 3) ---------------------------------
-//
-// Same pattern as bench_ingest: replacing the global operator new/delete
-// lets the bench prove the steady-state claim instead of asserting it in a
-// comment. Counting is gated so the rest of the benchmark is unaffected.
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](size_t size) { return operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+#include "util/stats.h"
+#include "util/table.h"
+#include "util/timer.h"
 
 namespace strg {
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using dist::EgedBatchBounded;
 using dist::EgedKernelStats;
 using dist::EgedLowerBoundBatch;
@@ -100,11 +70,6 @@ class ScopedTier {
   bool ok_;
 };
 
-double MicrosSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
-}
-
 Sequence RandomSequence(Rng* rng, size_t len) {
   Sequence s(len);
   FeatureVec cur{};
@@ -120,16 +85,7 @@ Sequence RandomSequence(Rng* rng, size_t len) {
   return s;
 }
 
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  size_t idx = static_cast<size_t>(p / 100.0 *
-                                   static_cast<double>(v.size() - 1));
-  return v[idx];
-}
-
 struct MicroRow {
-  size_t length = 0;
   double ref_us = 0.0;
   double scalar_flat_us = 0.0;
   double simd_flat_us = 0.0;
@@ -156,36 +112,35 @@ MicroRow MicroBench(size_t length, int pairs, int reps) {
   double tau = Percentile(exact, 10.0);
 
   MicroRow row;
-  row.length = length;
   volatile double sink = 0.0;
 
-  auto t0 = Clock::now();
+  const double calls = static_cast<double>(pairs) * reps;
+  Timer timer;
   for (int r = 0; r < reps; ++r) {
     for (int i = 0; i < pairs; ++i) sink = sink + EgedMetric(a[i], b[i]);
   }
-  row.ref_us = MicrosSince(t0) / static_cast<double>(pairs * reps);
+  row.ref_us = timer.Seconds() * 1e6 / calls;
 
   EgedWorkspace ws;
   EgedKernelStats stats;
   for (simd::Tier tier : {simd::Tier::kScalar, simd::DetectedTier()}) {
     ScopedTier scoped(tier);
     const bool is_scalar = tier == simd::Tier::kScalar;
-    t0 = Clock::now();
+    timer.Restart();
     for (int r = 0; r < reps; ++r) {
       for (int i = 0; i < pairs; ++i) {
         sink = sink + EgedMetricFlat(fa[i], fb[i], &ws);
       }
     }
-    const double flat = MicrosSince(t0) / static_cast<double>(pairs * reps);
+    const double flat = timer.Seconds() * 1e6 / calls;
     stats = EgedKernelStats{};
-    t0 = Clock::now();
+    timer.Restart();
     for (int r = 0; r < reps; ++r) {
       for (int i = 0; i < pairs; ++i) {
         sink = sink + EgedMetricBounded(fa[i], fb[i], tau, &ws, &stats);
       }
     }
-    const double bounded =
-        MicrosSince(t0) / static_cast<double>(pairs * reps);
+    const double bounded = timer.Seconds() * 1e6 / calls;
     if (is_scalar) {
       row.scalar_flat_us = flat;
       row.scalar_bounded_us = bounded;
@@ -197,7 +152,6 @@ MicroRow MicroBench(size_t length, int pairs, int reps) {
       row.simd_bounded_us = bounded;
     }
   }
-  double calls = static_cast<double>(pairs) * reps;
   row.prune_rate = static_cast<double>(stats.lb_prunes) / calls;
   row.abandon_rate = static_cast<double>(stats.early_abandons) / calls;
   (void)sink;
@@ -221,9 +175,10 @@ KernelRow TimeKernel(const std::string& name, int reps, double units,
   for (simd::Tier tier : {simd::Tier::kScalar, simd::DetectedTier()}) {
     ScopedTier scoped(tier);
     body(1);  // warm-up / touch
-    auto t0 = Clock::now();
+    Timer timer;
     body(reps);
-    const double us = MicrosSince(t0) / (static_cast<double>(reps) * units);
+    const double us =
+        timer.Seconds() * 1e6 / (static_cast<double>(reps) * units);
     if (tier == simd::Tier::kScalar) row.scalar_us = us;
     if (tier == simd::DetectedTier()) row.simd_us = us;
   }
@@ -262,10 +217,10 @@ BatchBench KernelBench(int reps) {
     taus[i] = (i % 2 == 0) ? tight : dists[i] * 1.05;
   }
 
-  BatchBench bench;
+  BatchBench batch;
   volatile double sink = 0.0;
 
-  bench.kernels.push_back(TimeKernel(
+  batch.kernels.push_back(TimeKernel(
       "point_distance_batch", reps * 50, static_cast<double>(kCands * kLen),
       [&](int n) {
         const simd::KernelOps& ops = simd::ActiveOps();
@@ -277,7 +232,7 @@ BatchBench KernelBench(int reps) {
           }
         }
       }));
-  bench.kernels.push_back(TimeKernel(
+  batch.kernels.push_back(TimeKernel(
       "eged_lower_bound_batch", reps * 50, static_cast<double>(kCands),
       [&](int n) {
         for (int r = 0; r < n; ++r) {
@@ -285,7 +240,7 @@ BatchBench KernelBench(int reps) {
           sink = sink + out[0];
         }
       }));
-  bench.kernels.push_back(TimeKernel(
+  batch.kernels.push_back(TimeKernel(
       "eged_exact_dp", reps, static_cast<double>(kCands), [&](int n) {
         for (int r = 0; r < n; ++r) {
           for (size_t i = 0; i < kCands; ++i) {
@@ -293,7 +248,7 @@ BatchBench KernelBench(int reps) {
           }
         }
       }));
-  bench.kernels.push_back(TimeKernel(
+  batch.kernels.push_back(TimeKernel(
       "eged_batch_bounded", reps, static_cast<double>(kCands), [&](int n) {
         for (int r = 0; r < n; ++r) {
           EgedBatchBounded(query, cands.data(), taus.data(), kCands,
@@ -301,7 +256,7 @@ BatchBench KernelBench(int reps) {
           sink = sink + out[0];
         }
       }));
-  bench.kernels.push_back(TimeKernel(
+  batch.kernels.push_back(TimeKernel(
       "dtw", reps, static_cast<double>(kCands), [&](int n) {
         for (int r = 0; r < n; ++r) {
           for (size_t i = 0; i < kCands; ++i) {
@@ -309,7 +264,7 @@ BatchBench KernelBench(int reps) {
           }
         }
       }));
-  bench.kernels.push_back(TimeKernel(
+  batch.kernels.push_back(TimeKernel(
       "edr", reps, static_cast<double>(kCands), [&](int n) {
         for (int r = 0; r < n; ++r) {
           for (size_t i = 0; i < kCands; ++i) {
@@ -321,38 +276,36 @@ BatchBench KernelBench(int reps) {
   // Batch vs one-at-a-time, both at the detected tier.
   {
     ScopedTier scoped(simd::DetectedTier());
-    auto t0 = Clock::now();
+    Timer timer;
     for (int r = 0; r < reps; ++r) {
       for (size_t i = 0; i < kCands; ++i) {
         sink = sink + EgedMetricBounded(query, flats[i], taus[i], &ws);
       }
     }
-    bench.loop_us =
-        MicrosSince(t0) / static_cast<double>(reps) / kCands;
-    t0 = Clock::now();
+    batch.loop_us =
+        timer.Seconds() * 1e6 / (static_cast<double>(reps) * kCands);
+    timer.Restart();
     for (int r = 0; r < reps; ++r) {
       EgedBatchBounded(query, cands.data(), taus.data(), kCands, out.data(),
                        &ws);
       sink = sink + out[0];
     }
-    bench.batch_us =
-        MicrosSince(t0) / static_cast<double>(reps) / kCands;
+    batch.batch_us =
+        timer.Seconds() * 1e6 / (static_cast<double>(reps) * kCands);
 
     // Steady-state allocation proof: the batch call above warmed every
     // buffer (workspace rows, reversed-query scratch); from here on the
     // batch entry point must not touch the heap at all.
-    g_allocs.store(0);
-    g_count_allocs.store(true);
+    bench::StartAllocCount();
     for (int r = 0; r < 3; ++r) {
       EgedBatchBounded(query, cands.data(), taus.data(), kCands, out.data(),
                        &ws);
       sink = sink + out[0];
     }
-    g_count_allocs.store(false);
-    bench.steady_allocs = g_allocs.load();
+    batch.steady_allocs = bench::StopAllocCount().allocs;
   }
   (void)sink;
-  return bench;
+  return batch;
 }
 
 // ---- part 4: kNN cold path ----------------------------------------------
@@ -384,9 +337,9 @@ KnnPhase KnnBench(const std::string& name, simd::Tier tier,
   ScopedTier scoped(tier);
   for (int r = 0; r < reps; ++r) {
     for (const Sequence& q : queries) {
-      auto t0 = Clock::now();
+      Timer timer;
       auto result = idx.Knn(q, 10);
-      lat.push_back(MicrosSince(t0));
+      lat.push_back(timer.Seconds() * 1e6);
       dp += static_cast<double>(result.distance_computations);
       prunes += static_cast<double>(result.lb_prunes);
       abandons += static_cast<double>(result.early_abandons);
@@ -401,12 +354,6 @@ KnnPhase KnnBench(const std::string& name, simd::Tier tier,
   return phase;
 }
 
-std::string Num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
 }  // namespace
 }  // namespace strg
 
@@ -415,51 +362,69 @@ int main() {
   bench::Banner("BENCH distance",
                 "fast EGED kernel + SIMD dispatch tiers: flat, lower-bound "
                 "cascade, early abandoning, batched scans");
+  // The report's simd_tier stamp is the active tier; the simd columns below
+  // run the detected tier, which differs under STRG_FORCE_SCALAR=1.
+  bench::JsonReport report("BENCH_distance.json");
 
   const simd::Tier detected = simd::DetectedTier();
   const char* tier_name = simd::TierName(detected);
   const bool simd_active = detected != simd::Tier::kScalar;
-  std::printf("simd tier: %s   hardware_concurrency: %u   padded stride: "
-              "%zu doubles\n\n",
+  std::printf("detected simd tier: %s   hardware_concurrency: %u   "
+              "padded stride: %zu doubles\n\n",
               tier_name, std::thread::hardware_concurrency(),
               simd::kPaddedDim);
   if (!simd_active) {
     std::printf("NOTE: scalar-only host — simd columns repeat the scalar "
                 "measurement and speedups read 1.0x.\n\n");
   }
+  report.AddString("detected_tier", tier_name);
+  report.AddScalar("simd_active", simd_active ? 1.0 : 0.0);
 
   const int scale = bench::EnvInt("STRG_BENCH_SCALE", 1);
   const int pairs = 200 * scale;
   const int reps = 20 * scale;
 
-  std::vector<MicroRow> micro;
-  std::printf("%-8s %9s | %9s %11s | %9s %11s | %7s %7s\n", "length",
-              "ref_us", "sc_flat", "sc_bounded", "simd_flat", "simd_bound",
-              "flat_x", "bound_x");
+  Table micro({"length", "ref_us", "scalar_flat_us", "scalar_bounded_us",
+               "simd_flat_us", "simd_bounded_us", "flat_speedup",
+               "bounded_speedup", "simd_flat_speedup", "simd_bounded_speedup",
+               "prune_rate", "abandon_rate"});
   for (size_t length : {8u, 16u, 32u, 64u}) {
-    MicroRow row = MicroBench(length, pairs, reps);
-    micro.push_back(row);
-    std::printf("%-8zu %9.3f | %9.3f %11.3f | %9.3f %11.3f | %6.2fx %6.2fx\n",
-                row.length, row.ref_us, row.scalar_flat_us,
-                row.scalar_bounded_us, row.simd_flat_us, row.simd_bounded_us,
-                row.scalar_flat_us / row.simd_flat_us,
-                row.scalar_bounded_us / row.simd_bounded_us);
+    MicroRow r = MicroBench(length, pairs, reps);
+    std::vector<std::string> cells{std::to_string(length)};
+    for (double v : {r.ref_us, r.scalar_flat_us, r.scalar_bounded_us,
+                     r.simd_flat_us, r.simd_bounded_us,
+                     r.ref_us / r.simd_flat_us, r.ref_us / r.simd_bounded_us,
+                     r.scalar_flat_us / r.simd_flat_us,
+                     r.scalar_bounded_us / r.simd_bounded_us, r.prune_rate,
+                     r.abandon_rate}) {
+      cells.push_back(FormatDouble(v));
+    }
+    micro.AddRow(std::move(cells));
   }
+  micro.Print(std::cout);
+  report.AddTable("micro", micro);
 
-  std::printf("\n%-24s %12s %12s %9s\n", "kernel", "scalar_us", "simd_us",
-              "speedup");
   BatchBench batch = KernelBench(4 * reps);
+  Table kernels({"kernel", "scalar_us", "simd_us", "simd_speedup"});
   for (const KernelRow& k : batch.kernels) {
-    std::printf("%-24s %12.4f %12.4f %8.2fx\n", k.name.c_str(), k.scalar_us,
-                k.simd_us, k.scalar_us / k.simd_us);
+    kernels.AddRow({k.name, FormatDouble(k.scalar_us, 4),
+                    FormatDouble(k.simd_us, 4),
+                    FormatDouble(k.scalar_us / k.simd_us)});
   }
+  std::cout << "\n";
+  kernels.Print(std::cout);
+  report.AddTable("kernels", kernels);
+
   std::printf("\nbatched one-vs-many (64 candidates, len 64, %s tier):\n",
               tier_name);
-  std::printf("  one-at-a-time bounded: %.3f us/cand\n", batch.loop_us);
-  std::printf("  EgedBatchBounded:      %.3f us/cand (%.2fx)\n",
-              batch.batch_us, batch.loop_us / batch.batch_us);
-  std::printf("  steady-state heap allocations after warm-up: %llu\n",
-              static_cast<unsigned long long>(batch.steady_allocs));
+  Table batch_table({"loop_us_per_candidate", "batch_us_per_candidate",
+                     "batch_speedup", "steady_state_allocations"});
+  batch_table.AddRow({FormatDouble(batch.loop_us),
+                      FormatDouble(batch.batch_us),
+                      FormatDouble(batch.loop_us / batch.batch_us),
+                      std::to_string(batch.steady_allocs)});
+  batch_table.Print(std::cout);
+  report.AddTable("batch", batch_table);
   if (batch.steady_allocs != 0) {
     std::printf("FAIL: EgedBatchBounded allocated on the steady-state "
                 "path\n");
@@ -485,13 +450,17 @@ int main() {
   KnnPhase fast_simd = KnnBench("knn_fast_simd", detected, db, queries,
                                 4 * scale);
   double simd_speedup_p50 = fast_scalar.p50_us / fast_simd.p50_us;
-  std::printf("\n%-22s %10s %10s %10s %10s %10s\n", "knn phase", "p50_us",
-              "p99_us", "dp/query", "prunes/q", "abandon/q");
+  Table knn({"phase", "p50_us", "p99_us", "mean_distance_computations",
+             "mean_lb_prunes", "mean_early_abandons"});
   for (const KnnPhase* p : {&fast_scalar, &fast_simd}) {
-    std::printf("%-22s %10.1f %10.1f %10.1f %10.1f %10.1f\n",
-                p->name.c_str(), p->p50_us, p->p99_us, p->mean_dp,
-                p->mean_prunes, p->mean_abandons);
+    knn.AddRow({p->name, FormatDouble(p->p50_us), FormatDouble(p->p99_us),
+                FormatDouble(p->mean_dp), FormatDouble(p->mean_prunes),
+                FormatDouble(p->mean_abandons)});
   }
+  std::cout << "\n";
+  knn.Print(std::cout);
+  report.AddTable("knn", knn);
+  report.AddScalar("knn_simd_p50_speedup", simd_speedup_p50);
   if (simd_active) {
     std::printf("\nuncached kNN p50 speedup, simd vs scalar fast path: %.2fx\n"
                 "  (expected ~1x: tight-tau kNN DPs are band-pruned to "
@@ -503,61 +472,6 @@ int main() {
   } else {
     std::printf("\nuncached kNN simd speedup: n/a — scalar-only host\n");
   }
-
-  std::string json = "{\"simd_tier\":\"" + std::string(tier_name) + "\"";
-  json += ",\"simd_active\":" + std::string(simd_active ? "true" : "false");
-  json += ",\"hardware_concurrency\":" +
-          std::to_string(std::thread::hardware_concurrency());
-  json += ",\"padded_stride\":" + std::to_string(simd::kPaddedDim);
-  json += ",\"micro\":[";
-  for (size_t i = 0; i < micro.size(); ++i) {
-    const MicroRow& r = micro[i];
-    if (i != 0) json += ",";
-    json += "{\"length\":" + std::to_string(r.length);
-    json += ",\"ref_us\":" + Num(r.ref_us);
-    json += ",\"scalar_flat_us\":" + Num(r.scalar_flat_us);
-    json += ",\"scalar_bounded_us\":" + Num(r.scalar_bounded_us);
-    json += ",\"simd_flat_us\":" + Num(r.simd_flat_us);
-    json += ",\"simd_bounded_us\":" + Num(r.simd_bounded_us);
-    json += ",\"flat_speedup\":" + Num(r.ref_us / r.simd_flat_us);
-    json += ",\"bounded_speedup\":" + Num(r.ref_us / r.simd_bounded_us);
-    json += ",\"simd_flat_speedup\":" + Num(r.scalar_flat_us /
-                                            r.simd_flat_us);
-    json += ",\"simd_bounded_speedup\":" + Num(r.scalar_bounded_us /
-                                               r.simd_bounded_us);
-    json += ",\"prune_rate\":" + Num(r.prune_rate);
-    json += ",\"abandon_rate\":" + Num(r.abandon_rate) + "}";
-  }
-  json += "],\"kernels\":[";
-  for (size_t i = 0; i < batch.kernels.size(); ++i) {
-    const KernelRow& k = batch.kernels[i];
-    if (i != 0) json += ",";
-    json += "{\"kernel\":\"" + k.name + "\"";
-    json += ",\"scalar_us\":" + Num(k.scalar_us);
-    json += ",\"simd_us\":" + Num(k.simd_us);
-    json += ",\"simd_speedup\":" + Num(k.scalar_us / k.simd_us) + "}";
-  }
-  json += "],\"batch\":{\"loop_us_per_candidate\":" + Num(batch.loop_us);
-  json += ",\"batch_us_per_candidate\":" + Num(batch.batch_us);
-  json += ",\"batch_speedup\":" + Num(batch.loop_us / batch.batch_us);
-  json += ",\"steady_state_allocations\":" +
-          std::to_string(batch.steady_allocs);
-  json += "},\"knn\":[";
-  bool first = true;
-  for (const KnnPhase* p : {&fast_scalar, &fast_simd}) {
-    if (!first) json += ",";
-    first = false;
-    json += "{\"phase\":\"" + p->name + "\"";
-    json += ",\"p50_us\":" + Num(p->p50_us);
-    json += ",\"p99_us\":" + Num(p->p99_us);
-    json += ",\"mean_distance_computations\":" + Num(p->mean_dp);
-    json += ",\"mean_lb_prunes\":" + Num(p->mean_prunes);
-    json += ",\"mean_early_abandons\":" + Num(p->mean_abandons) + "}";
-  }
-  json += "],\"knn_simd_p50_speedup\":" + Num(simd_speedup_p50) + "}";
-
-  std::ofstream out("BENCH_distance.json");
-  out << json << "\n";
-  std::cout << "report written to BENCH_distance.json\n";
+  report.Write();
   return 0;
 }

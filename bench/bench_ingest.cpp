@@ -25,70 +25,28 @@
 // Output: human-readable stdout + BENCH_ingest.json.
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "bench_common.h"
 #include "core/pipeline.h"
 #include "segment/mean_shift.h"
 #include "segment/segmenter.h"
 #include "server/query_engine.h"
 #include "synth/generator.h"
+#include "util/stats.h"
+#include "util/table.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 #include "video/renderer.h"
 #include "video/scenes.h"
 
-// ---- global allocation counter (parts 2 and 4) -------------------------
-//
-// Replacing the global operator new/delete lets the bench prove the
-// steady-state claim instead of asserting it in a comment. Counting is
-// gated so the rest of the benchmark is unaffected.
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<uint64_t> g_allocs{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-void* operator new(size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](size_t size) { return operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-
 namespace strg {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MillisSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-std::string Num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
 
 struct EndToEndRow {
   std::string config;
@@ -96,7 +54,6 @@ struct EndToEndRow {
   size_t frames = 0;
   double wall_ms = 0.0;
   double fps = 0.0;
-  double speedup = 1.0;  // vs the seed row
   api::IngestStats stats;
 };
 
@@ -110,15 +67,15 @@ EndToEndRow RunPipeline(const std::string& config,
                         const segment::MeanShiftParams* prefilter = nullptr) {
   api::VideoPipeline pipeline(params);
   double filter_ms = 0.0;
-  auto t0 = Clock::now();
+  Timer wall;
   for (const video::Frame& f : frames) {
     if (prefilter == nullptr) {
       pipeline.PushFrame(f);
       continue;
     }
-    auto tf = Clock::now();
+    Timer filter;
     video::Frame filtered = segment::MeanShiftReference(f, *prefilter);
-    filter_ms += MillisSince(tf);
+    filter_ms += filter.Millis();
     pipeline.PushFrame(filtered);
   }
   pipeline.Finish();
@@ -126,7 +83,7 @@ EndToEndRow RunPipeline(const std::string& config,
   row.config = config;
   row.threads = threads;
   row.frames = frames.size();
-  row.wall_ms = MillisSince(t0);
+  row.wall_ms = wall.Millis();
   row.fps = 1000.0 * static_cast<double>(frames.size()) / row.wall_ms;
   row.stats = pipeline.stats();
   row.stats.segment_us += static_cast<uint64_t>(1000.0 * filter_ms);
@@ -147,12 +104,6 @@ struct PublishRow {
   double bytes_p50 = 0.0;   ///< allocated inside one publish
   double allocs_p50 = 0.0;
 };
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
 
 /// Builds a `num_ogs` catalog of 50-OG videos on a fresh engine, then
 /// times kSweepWrites single-OG publishes spread over the videos. The OGs
@@ -192,22 +143,19 @@ PublishRow MeasurePublish(size_t num_ogs, const std::vector<core::Og>& ogs) {
     const size_t v = (w * 7) % row.videos;
     {
       std::shared_ptr<const server::Snapshot> snap = engine.snapshot();
-      auto t0 = Clock::now();
+      Timer timer;
       api::VideoDatabase clone = snap->db.Clone();
-      clone_us.push_back(1000.0 * MillisSince(t0));
+      clone_us.push_back(timer.Seconds() * 1e6);
     }
-    g_allocs.store(0, std::memory_order_relaxed);
-    g_alloc_bytes.store(0, std::memory_order_relaxed);
-    g_count_allocs.store(true, std::memory_order_relaxed);
-    auto t0 = Clock::now();
+    bench::StartAllocCount();
+    Timer timer;
     engine.AddObjectGraph(segment_ids[v], "video_" + std::to_string(v),
                           og_at(num_ogs + w), synth::SynthScaling());
-    publish_us.push_back(1000.0 * MillisSince(t0));
-    g_count_allocs.store(false, std::memory_order_relaxed);
-    bytes.push_back(
-        static_cast<double>(g_alloc_bytes.load(std::memory_order_relaxed)));
-    allocs.push_back(
-        static_cast<double>(g_allocs.load(std::memory_order_relaxed)));
+    const double us = timer.Seconds() * 1e6;
+    const bench::AllocCount made = bench::StopAllocCount();
+    publish_us.push_back(us);
+    bytes.push_back(static_cast<double>(made.bytes));
+    allocs.push_back(static_cast<double>(made.allocs));
   }
   row.publish_us_p50 = Median(publish_us);
   row.clone_us_p50 = Median(clone_us);
@@ -224,6 +172,7 @@ int main() {
   bench::Banner("BENCH ingest",
                 "fast mean-shift kernel + staged parallel ingest pipeline "
                 "vs the serial seed path");
+  bench::JsonReport report("BENCH_ingest.json");
 
   const int scale = bench::EnvInt("STRG_BENCH_SCALE", 1);
   const unsigned hw = std::thread::hardware_concurrency();
@@ -258,26 +207,27 @@ int main() {
   segment::MeanShiftFilter(frames[0], ms_params, &ws, &filtered);
   (void)segment::MeanShiftReference(frames[0], ms_params);
 
-  auto t0 = Clock::now();
+  Timer timer;
   for (int i = 0; i < kernel_frames; ++i) {
     (void)segment::MeanShiftReference(frames[static_cast<size_t>(i)],
                                       ms_params);
   }
-  double ref_us =
-      1000.0 * MillisSince(t0) / static_cast<double>(kernel_frames);
+  const double ref_us = timer.Seconds() * 1e6 / kernel_frames;
 
-  t0 = Clock::now();
+  timer.Restart();
   for (int i = 0; i < kernel_frames; ++i) {
     segment::MeanShiftFilter(frames[static_cast<size_t>(i)], ms_params, &ws,
                              &filtered);
   }
-  double opt_us =
-      1000.0 * MillisSince(t0) / static_cast<double>(kernel_frames);
-  double kernel_speedup = ref_us / opt_us;
-  std::printf("mean-shift kernel (us/frame over %d frames)\n", kernel_frames);
-  std::printf("  %-22s %10.1f\n", "reference (seed)", ref_us);
-  std::printf("  %-22s %10.1f\n", "optimized", opt_us);
-  std::printf("  speedup: %.2fx (acceptance floor 1.5x)\n\n", kernel_speedup);
+  const double opt_us = timer.Seconds() * 1e6 / kernel_frames;
+  std::printf("mean-shift kernel (us/frame over %d frames, acceptance floor "
+              "1.5x)\n",
+              kernel_frames);
+  Table kernel({"reference_us_per_frame", "optimized_us_per_frame",
+                "speedup"});
+  kernel.AddNumericRow({ref_us, opt_us, ref_us / opt_us});
+  kernel.Print(std::cout);
+  report.AddTable("kernel", kernel);
 
   // ---- part 2: steady-state allocation check ----------------------------
   segment::SegmenterParams seg_params;  // mean shift on
@@ -286,15 +236,14 @@ int main() {
   for (int i = 0; i < 3; ++i) {  // warm-up sizes every scratch buffer
     segment::SegmentFrameInto(frames[0], seg_params, &seg_ws, &seg_out);
   }
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_relaxed);
+  bench::StartAllocCount();
   for (int i = 0; i < 5; ++i) {
     segment::SegmentFrameInto(frames[0], seg_params, &seg_ws, &seg_out);
   }
-  g_count_allocs.store(false, std::memory_order_relaxed);
-  const uint64_t steady_allocs = g_allocs.load(std::memory_order_relaxed);
-  std::printf("steady-state SegmentFrameInto heap allocations: %llu\n\n",
+  const uint64_t steady_allocs = bench::StopAllocCount().allocs;
+  std::printf("\nsteady-state SegmentFrameInto heap allocations: %llu\n\n",
               static_cast<unsigned long long>(steady_allocs));
+  report.AddScalar("steady_state_allocs", static_cast<double>(steady_allocs));
   if (steady_allocs != 0) {
     std::fprintf(stderr,
                  "FAIL: SegmentFrameInto allocated %llu times after warm-up "
@@ -323,19 +272,21 @@ int main() {
                                pooled, threads));
   }
   const double seed_fps = rows[0].fps;
-  for (EndToEndRow& r : rows) r.speedup = r.fps / seed_fps;
-
-  std::printf("%-20s %8s %10s %10s %8s %12s %12s %12s %8s\n", "config",
-              "threads", "wall_ms", "fps", "speedup", "segment_us",
-              "track_us", "decomp_us", "stalls");
+  Table end_to_end({"config", "threads", "frames", "wall_ms", "fps",
+                    "speedup_vs_seed", "segment_us", "track_us",
+                    "decompose_us", "queue_stalls"});
   for (const EndToEndRow& r : rows) {
-    std::printf("%-20s %8zu %10.1f %10.2f %7.2fx %12llu %12llu %12llu %8llu\n",
-                r.config.c_str(), r.threads, r.wall_ms, r.fps, r.speedup,
-                static_cast<unsigned long long>(r.stats.segment_us),
-                static_cast<unsigned long long>(r.stats.track_us),
-                static_cast<unsigned long long>(r.stats.decompose_us),
-                static_cast<unsigned long long>(r.stats.queue_full_stalls));
+    end_to_end.AddRow({r.config, std::to_string(r.threads),
+                       std::to_string(r.frames), FormatDouble(r.wall_ms),
+                       FormatDouble(r.fps), FormatDouble(r.fps / seed_fps),
+                       std::to_string(r.stats.segment_us),
+                       std::to_string(r.stats.track_us),
+                       std::to_string(r.stats.decompose_us),
+                       std::to_string(r.stats.queue_full_stalls)});
   }
+  end_to_end.Print(std::cout);
+  report.AddTable("end_to_end", end_to_end);
+
   // ---- part 4: publish cost against catalog size ------------------------
   std::vector<PublishRow> sweep;
   {
@@ -348,72 +299,36 @@ int main() {
   std::printf("\npublish cost vs catalog size (median of %zu single-OG "
               "writes, 50-OG videos)\n",
               kSweepWrites);
-  std::printf("%8s %7s %12s %10s %14s %10s\n", "ogs", "videos",
-              "publish_us", "clone_us", "bytes/gen", "allocs/gen");
+  Table publish({"ogs", "videos", "publish_us_p50", "clone_us_p50",
+                 "bytes_per_generation_p50", "allocs_per_generation_p50"});
   for (const PublishRow& r : sweep) {
-    std::printf("%8zu %7zu %12.1f %10.1f %14.0f %10.0f\n", r.ogs, r.videos,
-                r.publish_us_p50, r.clone_us_p50, r.bytes_p50, r.allocs_p50);
+    publish.AddRow({std::to_string(r.ogs), std::to_string(r.videos),
+                    FormatDouble(r.publish_us_p50),
+                    FormatDouble(r.clone_us_p50), FormatDouble(r.bytes_p50),
+                    FormatDouble(r.allocs_p50)});
   }
+  publish.Print(std::cout);
   const double publish_growth =
       sweep.back().publish_us_p50 / sweep.front().publish_us_p50;
   const double bytes_growth = sweep.back().bytes_p50 / sweep.front().bytes_p50;
   std::printf("%zu vs %zu OGs: publish %.2fx, bytes/gen %.2fx (target <= 2x)\n",
               sweep.back().ogs, sweep.front().ogs, publish_growth,
               bytes_growth);
+  report.AddTable("publish_sweep", publish);
+  report.AddScalar("ogs_per_video", static_cast<double>(kOgsPerVideo));
+  report.AddScalar("writes", static_cast<double>(kSweepWrites));
+  report.AddScalar("publish_growth", publish_growth);
+  report.AddScalar("bytes_growth", bytes_growth);
 
-  const double single_thread_speedup = rows[1].speedup;
-  const double pooled4_speedup = rows.back().speedup;
+  const double single_thread_speedup = rows[1].fps / seed_fps;
+  const double pooled4_speedup = rows.back().fps / seed_fps;
   std::printf(
       "\nsingle-thread speedup (kernel alone): %.2fx (floor 1.5x)\n"
       "4-thread end-to-end speedup vs seed:  %.2fx (floor 3x, needs >= 4 "
       "physical cores)\n",
       single_thread_speedup, pooled4_speedup);
-
-  std::string json =
-      "{\"simd_tier\":\"" +
-      std::string(dist::simd::TierName(dist::simd::ActiveTier())) + "\"";
-  json += ",\"hardware_concurrency\":" + std::to_string(hw);
-  json += ",\"kernel\":{\"reference_us_per_frame\":" + Num(ref_us);
-  json += ",\"optimized_us_per_frame\":" + Num(opt_us);
-  json += ",\"speedup\":" + Num(kernel_speedup) + "}";
-  json += ",\"steady_state_allocs\":" + std::to_string(steady_allocs);
-  json += ",\"end_to_end\":[";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const EndToEndRow& r = rows[i];
-    if (i != 0) json += ",";
-    json += "{\"config\":\"" + r.config + "\"";
-    json += ",\"threads\":" + std::to_string(r.threads);
-    json += ",\"frames\":" + std::to_string(r.frames);
-    json += ",\"wall_ms\":" + Num(r.wall_ms);
-    json += ",\"fps\":" + Num(r.fps);
-    json += ",\"speedup_vs_seed\":" + Num(r.speedup);
-    json += ",\"stage_us\":{\"segment\":" +
-            std::to_string(r.stats.segment_us);
-    json += ",\"track\":" + std::to_string(r.stats.track_us);
-    json += ",\"decompose\":" + std::to_string(r.stats.decompose_us) + "}";
-    json += ",\"queue_stalls\":" + std::to_string(r.stats.queue_full_stalls);
-    json += "}";
-  }
-  json += "],\"single_thread_speedup\":" + Num(single_thread_speedup);
-  json += ",\"pooled4_speedup\":" + Num(pooled4_speedup);
-  json += ",\"publish_sweep\":{\"ogs_per_video\":" +
-          std::to_string(kOgsPerVideo);
-  json += ",\"writes\":" + std::to_string(kSweepWrites) + ",\"rows\":[";
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const PublishRow& r = sweep[i];
-    if (i != 0) json += ",";
-    json += "{\"ogs\":" + std::to_string(r.ogs);
-    json += ",\"videos\":" + std::to_string(r.videos);
-    json += ",\"publish_us_p50\":" + Num(r.publish_us_p50);
-    json += ",\"clone_us_p50\":" + Num(r.clone_us_p50);
-    json += ",\"bytes_per_generation_p50\":" + Num(r.bytes_p50);
-    json += ",\"allocs_per_generation_p50\":" + Num(r.allocs_p50) + "}";
-  }
-  json += "],\"publish_growth\":" + Num(publish_growth);
-  json += ",\"bytes_growth\":" + Num(bytes_growth) + "}}";
-
-  std::ofstream out("BENCH_ingest.json");
-  out << json << "\n";
-  std::cout << "report written to BENCH_ingest.json\n";
+  report.AddScalar("single_thread_speedup", single_thread_speedup);
+  report.AddScalar("pooled4_speedup", pooled4_speedup);
+  report.Write();
   return 0;
 }

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -30,25 +29,12 @@
 #include "storage/pager/paged_record_store.h"
 #include "storage/pager/storage_params.h"
 #include "synth/generator.h"
+#include "util/stats.h"
 #include "util/table.h"
+#include "util/timer.h"
 
 namespace strg {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MicrosSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
-}
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  size_t idx = static_cast<size_t>(p / 100.0 *
-                                   static_cast<double>(v.size() - 1));
-  return v[idx];
-}
 
 api::SegmentResult MakeSegment(const synth::SynthDataset& ds) {
   api::SegmentResult segment;
@@ -107,9 +93,9 @@ SweepPoint RunSweepPoint(const api::SegmentResult& segment,
   std::vector<double> lat;
   lat.reserve(probes.size());
   for (const dist::Sequence& probe : probes) {
-    auto t0 = Clock::now();
+    Timer timer;
     auto hits = db.Query(api::QuerySpec::Similar(probe, 10));
-    lat.push_back(MicrosSince(t0));
+    lat.push_back(timer.Seconds() * 1e6);
     for (const auto& hit : hits) {
       point.answers.emplace_back(hit.og_id,
                                  std::bit_cast<uint64_t>(hit.distance));

@@ -1,6 +1,6 @@
 // Durability cost / recovery speed harness for the WAL layer
-// (src/storage/wal + server::DurableQueryEngine). Reports JSON to stdout
-// and BENCH_recovery.json:
+// (src/storage/wal + server::DurableQueryEngine). Prints two tables and
+// writes them to BENCH_recovery.json:
 //
 //   ingest   — per-op ingest latency for the no-WAL QueryEngine baseline
 //              and for each fsync policy (every_record / every_n /
@@ -13,25 +13,22 @@
 // Scale knobs: STRG_BENCH_RECOVERY_OPS (streamed ops per phase, default
 // 192), STRG_BENCH_SCALE multiplies it.
 
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "server/durable_engine.h"
 #include "synth/generator.h"
+#include "util/table.h"
+#include "util/timer.h"
 
 namespace strg {
 namespace {
 
 namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
 
 struct Workload {
   api::SegmentResult segment;
@@ -69,10 +66,16 @@ index::StrgIndexParams IndexParams() {
   return p;
 }
 
+/// Every phase's engine directory sits under this root; main removes it
+/// after the replay phase has reopened them.
+fs::path BenchRoot() {
+  return fs::temp_directory_path() / "strg_bench_recovery";
+}
+
 std::string FreshDir(const std::string& tag) {
-  std::string dir = fs::temp_directory_path().string() + "/strg_bench_" + tag;
+  const fs::path dir = BenchRoot() / tag;
   fs::remove_all(dir);
-  return dir;
+  return dir.string();
 }
 
 struct IngestRow {
@@ -103,14 +106,13 @@ IngestRow RunIngest(const std::string& name, const std::string& dir,
   int segment_id = -1;
   (*engine)->AddVideo("bench", w.segment, &segment_id).value();
 
-  const auto start = Clock::now();
+  Timer timer;
   for (const core::Og& og : w.stream) {
     (*engine)
         ->AddObjectGraph(segment_id, "bench", og, synth::SynthScaling())
         .value();
   }
-  const double secs =
-      std::chrono::duration<double>(Clock::now() - start).count();
+  const double secs = timer.Seconds();
 
   IngestRow row;
   row.name = name;
@@ -128,12 +130,11 @@ IngestRow RunBaseline(const Workload& w) {
   int segment_id = -1;
   engine.AddVideo("bench", w.segment, &segment_id);
 
-  const auto start = Clock::now();
+  Timer timer;
   for (const core::Og& og : w.stream) {
     engine.AddObjectGraph(segment_id, "bench", og, synth::SynthScaling());
   }
-  const double secs =
-      std::chrono::duration<double>(Clock::now() - start).count();
+  const double secs = timer.Seconds();
 
   IngestRow row;
   row.name = "no_wal_baseline";
@@ -167,12 +168,15 @@ int main() {
   using namespace strg;
   bench::Banner("BENCH recovery",
                 "WAL append overhead per fsync policy + replay throughput");
+  bench::JsonReport report("BENCH_recovery.json");
+  report.AddString("bench", "recovery");
 
   const size_t ops = static_cast<size_t>(
       bench::EnvInt("STRG_BENCH_RECOVERY_OPS", 192) *
       std::max(1, bench::EnvInt("STRG_BENCH_SCALE", 1)));
   Workload w = MakeWorkload(/*base=*/48, ops);
   std::cout << "base OGs: 48, streamed ops: " << w.stream.size() << "\n\n";
+  report.AddScalar("streamed_ops", static_cast<double>(w.stream.size()));
 
   // ---- Ingest cost per fsync policy (compaction off: pure append). ----
   std::vector<IngestRow> ingest;
@@ -200,14 +204,16 @@ int main() {
     ingest.push_back(RunIngest(p.name, dir, w, opts));
   }
   const double base_us = ingest.front().micros_per_op;
-  std::printf("%-18s %10s %14s %12s %8s\n", "ingest", "ops", "us/op",
-              "overhead", "fsyncs");
+  Table ingest_table(
+      {"policy", "ops", "micros_per_op", "overhead_vs_no_wal", "fsyncs"});
   for (const IngestRow& r : ingest) {
-    std::printf("%-18s %10zu %14.1f %11.2fx %8llu\n", r.name.c_str(), r.ops,
-                r.micros_per_op,
-                base_us > 0 ? r.micros_per_op / base_us : 0.0,
-                static_cast<unsigned long long>(r.syncs));
+    ingest_table.AddRow(
+        {r.name, std::to_string(r.ops), FormatDouble(r.micros_per_op),
+         FormatDouble(base_us > 0 ? r.micros_per_op / base_us : 0.0),
+         std::to_string(r.syncs)});
   }
+  ingest_table.Print(std::cout);
+  report.AddTable("ingest", ingest_table);
 
   // ---- Replay throughput: pure log vs snapshot + tail. ----
   std::vector<ReplayRow> replay;
@@ -228,42 +234,18 @@ int main() {
     RunIngest("compacting", dir, w, opts);
     replay.push_back(RunReplay("snapshot_plus_tail", dir, opts));
   }
-  std::printf("\n%-18s %10s %12s %10s %14s\n", "replay", "records",
-              "generations", "seconds", "gens/sec");
+  fs::remove_all(BenchRoot());
+  Table replay_table({"mode", "replayed_records", "generations", "seconds",
+                      "generations_per_sec"});
   for (const ReplayRow& r : replay) {
-    std::printf("%-18s %10zu %12llu %10.4f %14.0f\n", r.name.c_str(),
-                r.records, static_cast<unsigned long long>(r.generations),
-                r.seconds, r.generations_per_sec);
+    replay_table.AddRow({r.name, std::to_string(r.records),
+                         std::to_string(r.generations),
+                         FormatDouble(r.seconds, 6),
+                         FormatDouble(r.generations_per_sec, 1)});
   }
-
-  // ---- JSON report. ----
-  std::ostringstream json;
-  json << "{\"bench\":\"recovery\",\"simd_tier\":\""
-       << dist::simd::TierName(dist::simd::ActiveTier())
-       << "\",\"streamed_ops\":" << w.stream.size()
-       << ",\"ingest\":[";
-  for (size_t i = 0; i < ingest.size(); ++i) {
-    const IngestRow& r = ingest[i];
-    json << (i ? "," : "") << "{\"policy\":\"" << r.name
-         << "\",\"ops\":" << r.ops << ",\"micros_per_op\":" << r.micros_per_op
-         << ",\"overhead_vs_no_wal\":"
-         << (base_us > 0 ? r.micros_per_op / base_us : 0.0)
-         << ",\"fsyncs\":" << r.syncs << "}";
-  }
-  json << "],\"replay\":[";
-  for (size_t i = 0; i < replay.size(); ++i) {
-    const ReplayRow& r = replay[i];
-    json << (i ? "," : "") << "{\"mode\":\"" << r.name
-         << "\",\"replayed_records\":" << r.records
-         << ",\"generations\":" << r.generations
-         << ",\"seconds\":" << r.seconds
-         << ",\"generations_per_sec\":" << r.generations_per_sec << "}";
-  }
-  json << "]}";
-
-  std::ofstream out("BENCH_recovery.json");
-  out << json.str() << "\n";
-  std::cout << "\n" << json.str() << "\n"
-            << "report written to BENCH_recovery.json\n";
+  std::cout << "\n";
+  replay_table.Print(std::cout);
+  report.AddTable("replay", replay_table);
+  report.Write();
   return 0;
 }

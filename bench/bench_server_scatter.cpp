@@ -30,10 +30,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -43,6 +40,9 @@
 #include "server/query_engine.h"
 #include "server/sharded_engine.h"
 #include "synth/generator.h"
+#include "util/stats.h"
+#include "util/table.h"
+#include "util/timer.h"
 
 namespace strg {
 namespace {
@@ -141,13 +141,6 @@ api::QuerySpec SpecFor(const Request& r, const Workload& w) {
   }
 }
 
-double PercentileUs(std::vector<double>* lat, double p) {
-  if (lat->empty()) return 0.0;
-  std::sort(lat->begin(), lat->end());
-  size_t idx = static_cast<size_t>(p / 100.0 * (lat->size() - 1) + 0.5);
-  return (*lat)[std::min(idx, lat->size() - 1)];
-}
-
 /// Feeds the base catalog in a fixed global order (so single and sharded
 /// engines assign identical global og ids) and returns per-video segment
 /// ids for the ingest ops.
@@ -183,7 +176,7 @@ PhaseResult RunClosedLoop(const std::string& name, Engine* engine,
   std::atomic<size_t> errors{0};
   const size_t per_client = requests / clients;
   std::vector<std::vector<double>> lat(clients);
-  const auto start = Clock::now();
+  Timer timer;
   std::vector<std::thread> threads;
   for (size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
@@ -191,7 +184,7 @@ PhaseResult RunClosedLoop(const std::string& name, Engine* engine,
       lat[c].reserve(per_client);
       for (size_t i = 0; i < per_client; ++i) {
         Request r = PickRequest(&rng, w);
-        const auto t0 = Clock::now();
+        Timer request;
         if (r.kind == Request::kIngest) {
           engine->AddObjectGraph(segment_ids[r.video], w.names[r.video],
                                  w.stream[r.query], synth::SynthScaling());
@@ -201,9 +194,7 @@ PhaseResult RunClosedLoop(const std::string& name, Engine* engine,
             errors.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        lat[c].push_back(std::chrono::duration<double, std::micro>(
-                             Clock::now() - t0)
-                             .count());
+        lat[c].push_back(request.Seconds() * 1e6);
       }
     });
   }
@@ -213,13 +204,13 @@ PhaseResult RunClosedLoop(const std::string& name, Engine* engine,
   res.name = name;
   res.clients = clients;
   res.requests = per_client * clients;
-  res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  res.seconds = timer.Seconds();
   res.qps = static_cast<double>(res.requests) / res.seconds;
   std::vector<double> all;
   for (auto& v : lat) all.insert(all.end(), v.begin(), v.end());
-  res.p50_us = PercentileUs(&all, 50.0);
-  res.p95_us = PercentileUs(&all, 95.0);
-  res.p99_us = PercentileUs(&all, 99.0);
+  res.p50_us = Percentile(all, 50.0);
+  res.p95_us = Percentile(all, 95.0);
+  res.p99_us = Percentile(all, 99.0);
   res.errors = errors.load();
   return res;
 }
@@ -292,7 +283,7 @@ OverloadResult RunOpenLoopOverload(server::ShardedQueryEngine* engine,
   res.ok = ok.load();
   res.shed_overloaded = shed.load();
   res.other = other.load();
-  res.accepted_p99_us = PercentileUs(&accepted, 99.0);
+  res.accepted_p99_us = Percentile(accepted, 99.0);
   // With at most max_pending requests admitted and the engine draining at
   // capacity_qps, an accepted request waits < max_pending/capacity behind
   // the queue; double it for scheduling slop and add a fixed floor.
@@ -342,17 +333,6 @@ bool CheckEquivalence(const Workload& w, size_t num_shards) {
   return true;
 }
 
-void AppendPhaseJson(std::string* out, const PhaseResult& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "\"%s\":{\"clients\":%zu,\"requests\":%zu,"
-                "\"seconds\":%.4f,\"qps\":%.1f,\"p50_us\":%.1f,"
-                "\"p95_us\":%.1f,\"p99_us\":%.1f,\"errors\":%zu}",
-                r.name.c_str(), r.clients, r.requests, r.seconds, r.qps,
-                r.p50_us, r.p95_us, r.p99_us, r.errors);
-  out->append(buf);
-}
-
 }  // namespace
 }  // namespace strg
 
@@ -361,6 +341,8 @@ int main() {
   bench::Banner("BENCH server scatter",
                 "sharded scatter-gather vs single engine: closed-loop "
                 "throughput, open-loop overload shedding");
+  bench::JsonReport report("BENCH_server_sharded.json");
+  report.AddString("bench", "server_scatter");
 
   const int scale = std::max(1, bench::EnvInt("STRG_BENCH_SCALE", 1));
   const size_t shards = static_cast<size_t>(
@@ -370,6 +352,8 @@ int main() {
       std::max(1, bench::EnvInt("STRG_BENCH_CLIENTS",
                                 static_cast<int>(std::max(2u, cores)))));
   const size_t closed_requests = 1800 * static_cast<size_t>(scale);
+  report.AddScalar("shards", static_cast<double>(shards));
+  report.AddScalar("clients", static_cast<double>(clients));
 
   Workload w = MakeWorkload(scale);
   size_t base_ogs = 0;
@@ -391,6 +375,7 @@ int main() {
               << (ok ? "bit-identical" : "MISMATCH") << "\n";
     equivalent = equivalent && ok;
   }
+  report.AddScalar("equivalent", equivalent ? 1.0 : 0.0);
 
   // -- Phase 1: closed-loop baseline (one engine, one snapshot chain). --
   PhaseResult single;
@@ -403,8 +388,6 @@ int main() {
     single = RunClosedLoop("single_closed", &engine, ids, w, clients,
                            closed_requests);
   }
-  std::cout << "single_closed:  " << single.qps << " qps, p99 "
-            << single.p99_us << " us, errors " << single.errors << "\n";
 
   // -- Phase 2: the same replay, scatter-gathered over the shards. --
   PhaseResult sharded;
@@ -417,12 +400,24 @@ int main() {
     sharded = RunClosedLoop("sharded_closed", &engine, ids, w, clients,
                             closed_requests);
   }
-  std::cout << "sharded_closed: " << sharded.qps << " qps, p99 "
-            << sharded.p99_us << " us, errors " << sharded.errors << "\n";
+  Table phases({"phase", "clients", "requests", "seconds", "qps", "p50_us",
+                "p95_us", "p99_us", "errors"});
+  for (const PhaseResult* r : {&single, &sharded}) {
+    phases.AddRow({r->name, std::to_string(r->clients),
+                   std::to_string(r->requests), FormatDouble(r->seconds, 4),
+                   FormatDouble(r->qps, 1), FormatDouble(r->p50_us, 1),
+                   FormatDouble(r->p95_us, 1), FormatDouble(r->p99_us, 1),
+                   std::to_string(r->errors)});
+  }
+  std::cout << "\n";
+  phases.Print(std::cout);
+  report.AddTable("phases", phases);
 
   const double speedup = sharded.qps / single.qps;
   const double p99_ratio =
       single.p99_us > 0.0 ? sharded.p99_us / single.p99_us : 0.0;
+  report.AddScalar("speedup_sharded_vs_single", speedup);
+  report.AddScalar("p99_ratio", p99_ratio);
 
   // -- Phase 3: open loop at 2x the measured sharded capacity. --
   OverloadResult over;
@@ -439,11 +434,19 @@ int main() {
     over = RunOpenLoopOverload(&engine, w, offered, n, over_pending,
                                sharded.qps);
   }
-  std::cout << "sharded_overload: offered " << over.offered_qps
-            << " qps -> ok " << over.ok << ", shed(kOverloaded) "
-            << over.shed_overloaded << ", other " << over.other
-            << ", accepted p99 " << over.accepted_p99_us << " us (bound "
-            << over.p99_bound_us << ")\n";
+  Table overload({"offered_qps", "submitted", "ok", "shed_overloaded",
+                  "other_errors", "accepted_p99_us", "p99_bound_us",
+                  "max_pending"});
+  overload.AddRow({FormatDouble(over.offered_qps, 1),
+                   std::to_string(over.submitted), std::to_string(over.ok),
+                   std::to_string(over.shed_overloaded),
+                   std::to_string(over.other),
+                   FormatDouble(over.accepted_p99_us, 1),
+                   FormatDouble(over.p99_bound_us, 1),
+                   std::to_string(over_pending)});
+  std::cout << "\nsharded_overload (open loop at 2x sharded capacity):\n";
+  overload.Print(std::cout);
+  report.AddTable("overload", overload);
 
   // -- SLOs. The parallel-speedup target needs cores to parallelize over:
   // on a single-core host the scatter still must not *lose* (and overload
@@ -457,47 +460,23 @@ int main() {
   const bool slo_p99 = p99_ratio <= 1.10 || sharded.p99_us <= single.p99_us;
   const bool slo_shed_typed = over.shed_overloaded > 0 && over.other == 0;
   const bool slo_p99_bounded = over.accepted_p99_us <= over.p99_bound_us;
+  report.AddScalar("speedup_target", 2.0);
+  report.AddScalar("speedup_ok", slo_speedup ? 1.0 : 0.0);
+  report.AddScalar("speedup_applicable", speedup_applicable ? 1.0 : 0.0);
+  report.AddScalar("equal_p99_ok", slo_p99 ? 1.0 : 0.0);
+  report.AddScalar("shed_typed_ok", slo_shed_typed ? 1.0 : 0.0);
+  report.AddScalar("overload_p99_bounded_ok", slo_p99_bounded ? 1.0 : 0.0);
+  report.Write();
 
-  char head[256];
-  std::snprintf(head, sizeof(head),
-                "{\"bench\":\"server_scatter\",\"simd_tier\":\"%s\","
-                "\"shards\":%zu,"
-                "\"hardware_concurrency\":%u,\"clients\":%zu,"
-                "\"equivalent\":%s,",
-                dist::simd::TierName(dist::simd::ActiveTier()), shards, cores,
-                clients, equivalent ? "true" : "false");
-  std::string json = head;
-  AppendPhaseJson(&json, single);
-  json.push_back(',');
-  AppendPhaseJson(&json, sharded);
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      ",\"speedup_sharded_vs_single\":%.3f,\"p99_ratio\":%.3f,"
-      "\"overload\":{\"offered_qps\":%.1f,\"submitted\":%zu,\"ok\":%zu,"
-      "\"shed_overloaded\":%zu,\"other_errors\":%zu,"
-      "\"accepted_p99_us\":%.1f,\"p99_bound_us\":%.1f,"
-      "\"max_pending\":%zu},"
-      "\"slo\":{\"speedup_target\":2.0,\"speedup_ok\":%s,"
-      "\"speedup_applicable\":%s,\"equal_p99_ok\":%s,"
-      "\"shed_typed_ok\":%s,\"overload_p99_bounded_ok\":%s}}",
-      speedup, p99_ratio, over.offered_qps, over.submitted, over.ok,
-      over.shed_overloaded, over.other, over.accepted_p99_us,
-      over.p99_bound_us, over_pending, slo_speedup ? "true" : "false",
-      speedup_applicable ? "true" : "false", slo_p99 ? "true" : "false",
-      slo_shed_typed ? "true" : "false",
-      slo_p99_bounded ? "true" : "false");
-  json.append(buf);
-
-  std::cout << "\n" << json << "\n";
-  std::ofstream out("BENCH_server_sharded.json");
-  out << json << "\n";
-  std::cout << "report written to BENCH_server_sharded.json\n"
-            << "speedup (sharded_closed vs single_closed): " << speedup
+  std::cout << "speedup (sharded_closed vs single_closed): " << speedup
             << "x on " << shards << " shards, " << cores << " core(s)"
             << (speedup_applicable
                     ? "  [acceptance: >= 2x at equal p99]"
                     : "  [>= 2x SLO n/a: needs >= 2 cores and >= 4 shards]")
+            << "\n"
+            << "SLOs: shed_typed_ok=" << slo_shed_typed
+            << " overload_p99_bounded_ok=" << slo_p99_bounded
+            << " equal_p99_ok=" << slo_p99 << " speedup_ok=" << slo_speedup
             << "\n";
   return equivalent && slo_shed_typed && slo_p99_bounded ? 0 : 1;
 }

@@ -1,12 +1,14 @@
 // Load driver for the serving layer (src/server): replays a mixed
 // query/ingest workload against the QueryEngine at configurable driver
-// thread counts and reports QPS and kNN latency percentiles as JSON
+// thread counts and reports QPS and kNN latency percentiles per phase
 // (stdout + BENCH_server.json).
 //
 // Phases (each on a freshly built engine so metrics are per-phase, and
 // each over the same request count, 4,000 x STRG_BENCH_SCALE):
 //   serial_direct      — 1 thread, raw api::VideoDatabase replay: no
-//                        server. The single-threaded baseline.
+//                        server. The single-threaded baseline; its kNN
+//                        calls are timed into the same histogram buckets
+//                        the engine phases report.
 //   server_1thread     — 1 driver through the QueryEngine.
 //   server_multithread — STRG_BENCH_THREADS drivers (default 4).
 //
@@ -20,9 +22,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <random>
 #include <string>
@@ -30,13 +29,14 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "server/metrics.h"
 #include "server/query_engine.h"
 #include "synth/generator.h"
+#include "util/table.h"
+#include "util/timer.h"
 
 namespace strg {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 struct Workload {
   api::SegmentResult segment;           // base OGs, indexed at phase start
@@ -129,16 +129,20 @@ PhaseResult RunSerialDirect(const Workload& w, size_t requests) {
   api::VideoDatabase db{IndexParams()};
   db.AddVideo("lab1", w.segment);
 
+  server::LatencyHistogram knn_latency;
   std::mt19937 rng(99);
-  const auto start = Clock::now();
+  Timer timer;
   size_t sink = 0;
   for (size_t i = 0; i < requests; ++i) {
     Request r = PickRequest(&rng, w, /*allow_ingest=*/true);
     switch (r.kind) {
-      case Request::kKnn:
+      case Request::kKnn: {
+        Timer knn;
         sink +=
             db.Query(api::QuerySpec::Similar(w.queries[r.query], kKnnK)).size();
+        knn_latency.Record(knn.Seconds() * 1e6);
         break;
+      }
       case Request::kRange:
         sink += db.Query(api::QuerySpec::WithinRadius(w.queries[r.query],
                                                       kRangeRadius))
@@ -157,9 +161,11 @@ PhaseResult RunSerialDirect(const Workload& w, size_t requests) {
   res.name = "serial_direct";
   res.threads = 1;
   res.requests = requests;
-  res.seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
+  res.seconds = timer.Seconds();
   res.qps = static_cast<double>(requests) / res.seconds;
+  res.knn_p50_us = knn_latency.PercentileMicros(50.0);
+  res.knn_p95_us = knn_latency.PercentileMicros(95.0);
+  res.knn_p99_us = knn_latency.PercentileMicros(99.0);
   if (sink == SIZE_MAX) std::cout << "";  // keep the work observable
   return res;
 }
@@ -176,7 +182,7 @@ PhaseResult RunServerPhase(const std::string& name, const Workload& w,
 
   std::atomic<size_t> errors{0};
   const size_t per_driver = requests / drivers;
-  const auto start = Clock::now();
+  Timer timer;
   std::vector<std::thread> threads;
   for (size_t t = 0; t < drivers; ++t) {
     threads.emplace_back([&, t] {
@@ -213,8 +219,7 @@ PhaseResult RunServerPhase(const std::string& name, const Workload& w,
   res.name = name;
   res.threads = drivers;
   res.requests = per_driver * drivers;
-  res.seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
+  res.seconds = timer.Seconds();
   res.qps = static_cast<double>(res.requests) / res.seconds;
   const server::ServerMetrics& m = engine.metrics();
   res.knn_p50_us = m.knn_latency.PercentileMicros(50.0);
@@ -222,18 +227,6 @@ PhaseResult RunServerPhase(const std::string& name, const Workload& w,
   res.knn_p99_us = m.knn_latency.PercentileMicros(99.0);
   res.errors = errors.load();
   return res;
-}
-
-void AppendPhaseJson(std::string* out, const PhaseResult& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "\"%s\":{\"threads\":%zu,\"requests\":%zu,"
-                "\"seconds\":%.4f,\"qps\":%.1f,"
-                "\"knn_p50_us\":%.1f,\"knn_p95_us\":%.1f,"
-                "\"knn_p99_us\":%.1f,\"errors\":%zu}",
-                r.name.c_str(), r.threads, r.requests, r.seconds, r.qps,
-                r.knn_p50_us, r.knn_p95_us, r.knn_p99_us, r.errors);
-  out->append(buf);
 }
 
 }  // namespace
@@ -244,6 +237,12 @@ int main() {
   bench::Banner("BENCH server",
                 "serving-layer throughput: mixed query/ingest replay "
                 "through server::QueryEngine");
+  bench::JsonReport report("BENCH_server.json");
+  report.AddString("bench", "server_throughput");
+  // Every BENCH_server*.json records its shard count beside the stamped
+  // hardware_concurrency (strg-bench-server-shards), so runs compare across
+  // hosts and against the sharded bench.
+  report.AddScalar("shards", 1.0);
 
   const int scale = std::max(1, bench::EnvInt("STRG_BENCH_SCALE", 1));
   const size_t drivers = static_cast<size_t>(
@@ -264,33 +263,23 @@ int main() {
   PhaseResult multi =
       RunServerPhase("server_multithread", w, drivers, requests);
 
+  Table phases({"phase", "threads", "requests", "seconds", "qps",
+                "knn_p50_us", "knn_p95_us", "knn_p99_us", "errors"});
+  for (const PhaseResult* r : {&serial, &one, &multi}) {
+    phases.AddRow({r->name, std::to_string(r->threads),
+                   std::to_string(r->requests), FormatDouble(r->seconds, 4),
+                   FormatDouble(r->qps, 1), FormatDouble(r->knn_p50_us, 1),
+                   FormatDouble(r->knn_p95_us, 1),
+                   FormatDouble(r->knn_p99_us, 1),
+                   std::to_string(r->errors)});
+  }
+  phases.Print(std::cout);
+  report.AddTable("phases", phases);
+
   const double speedup = multi.qps / serial.qps;
-
-  // Machine-readable context every BENCH_server*.json must carry (a
-  // scripts/strg_lint.py rule): shard count and the host's concurrency, so
-  // runs are comparable across machines and against the sharded bench.
-  char ctx[160];
-  std::snprintf(ctx, sizeof(ctx),
-                "\"simd_tier\":\"%s\",\"shards\":1,"
-                "\"hardware_concurrency\":%u,",
-                dist::simd::TierName(dist::simd::ActiveTier()),
-                std::thread::hardware_concurrency());
-  std::string json = std::string("{\"bench\":\"server_throughput\",") + ctx;
-  AppendPhaseJson(&json, serial);
-  json.push_back(',');
-  AppendPhaseJson(&json, one);
-  json.push_back(',');
-  AppendPhaseJson(&json, multi);
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                ",\"speedup_multi_vs_serial\":%.2f}", speedup);
-  json.append(buf);
-
-  std::cout << json << "\n";
-  std::ofstream out("BENCH_server.json");
-  out << json << "\n";
-  std::cout << "report written to BENCH_server.json\n"
-            << "speedup (server_multithread vs serial_direct): " << speedup
+  std::cout << "speedup (server_multithread vs serial_direct): " << speedup
             << "x\n";
+  report.AddScalar("speedup_multi_vs_serial", speedup);
+  report.Write();
   return 0;
 }

@@ -20,17 +20,18 @@ what the repo has *decided* — contracts that live across files:
                         goes through the storage layer so fsync discipline,
                         tmp+rename publication, and CRC framing live in one
                         place.
-  strg-bench-json       Every bench/bench_*.cpp must write (or at least
-                        name) its BENCH_*.json machine-readable report.
+  strg-bench-json       Every bench/bench_*.cpp writes its BENCH_*.json
+                        report by constructing bench::JsonReport with the
+                        report's name. The constructor stamps simd_tier,
+                        hardware_concurrency and padded_stride, without
+                        which kernel timings are incomparable; a
+                        hand-rolled writer (std::ofstream) fails. A bench
+                        with no such report (google-benchmark) justifies
+                        itself with NOLINT(strg-bench-json): <why>.
   strg-bench-server-shards  A bench that writes a BENCH_server*.json report
                         must record the shard count and the host's
                         hardware_concurrency in it — serving throughput
                         numbers are meaningless without both.
-  strg-bench-simd-tier  A bench that writes any BENCH_*.json must record the
-                        active simd dispatch tier (bench::JsonReport emits
-                        it automatically; hand-rolled reports name a
-                        "simd_tier" field themselves) — kernel timings are
-                        incomparable without knowing which tier ran.
   strg-bench-cluster-stamp  A bench that writes a BENCH_cluster*.json report
                         must stamp "k", "restarts", and "bound_mode" —
                         clustering distance counts mean nothing without the
@@ -109,7 +110,8 @@ WALLCLOCK_RE = re.compile(r"(?<![A-Za-z0-9_:])(?:rand|srand|time)\s*\(")
 DIRECT_IO_RE = re.compile(
     r"\bfopen\s*\(|::open\s*\(|\bstd::[io]?fstream\b"
     r"|#\s*include\s*<fstream>")
-BENCH_JSON_RE = re.compile(r"BENCH_[A-Za-z0-9_]+\.json")
+JSON_REPORT_CTOR_RE = re.compile(
+    r'\bJsonReport\s+\w+\s*[({]\s*"BENCH_[A-Za-z0-9_]+\.json"')
 BENCH_SERVER_JSON_RE = re.compile(r"BENCH_server[A-Za-z0-9_]*\.json")
 BENCH_CLUSTER_JSON_RE = re.compile(r"BENCH_cluster[A-Za-z0-9_]*\.json")
 HW_CONCURRENCY_RE = re.compile(r"hardware_concurrency")
@@ -137,8 +139,6 @@ CONTROL_KEYWORDS = {"if", "for", "while", "switch", "return", "sizeof",
                     "noexcept", "void"}
 TEST_LABEL_RE = re.compile(r"//\s*ctest-labels:\s*([a-z][a-z0-9_]*)")
 OPTOUT_RE = re.compile(r"STRG_NO_THREAD_SAFETY_ANALYSIS")
-SIMD_TIER_RE = re.compile(r"simd_tier")
-JSON_REPORT_RE = re.compile(r"\bJsonReport\b")
 # The only translation unit outside src/distance/simd/ allowed intrinsics:
 # the SSE4.2 CRC32C tier, compiled alone with -msse4.2 and dispatched by
 # src/storage/crc32c.cc.
@@ -513,26 +513,14 @@ def lint_tree(root: str) -> list:
                             "the restart multiplier, and the use_bounds "
                             "side), or justify with "
                             "NOLINT(strg-bench-cluster-stamp): <why>"))
-            if BENCH_JSON_RE.search(text):
-                if not (SIMD_TIER_RE.search(text)
-                        or JSON_REPORT_RE.search(text)) and \
-                        not file_suppressed(text, "strg-bench-simd-tier"):
-                    findings.append(Finding(
-                        path, 1, "strg-bench-simd-tier",
-                        'BENCH_*.json report must record the active simd '
-                        'dispatch tier (use bench::JsonReport, which emits '
-                        '"simd_tier" automatically, or write the field '
-                        "yourself), or justify with "
-                        "NOLINT(strg-bench-simd-tier): <why>"))
-                continue
-            m = NOLINT_RE.search(text)
-            if m and m.group(1) == "strg-bench-json" and m.group(2):
-                continue
-            findings.append(Finding(
-                path, 1, "strg-bench-json",
-                "benchmark never names a BENCH_*.json report; write one "
-                "(bench::JsonReport) or justify with "
-                "NOLINT(strg-bench-json): <why>"))
+            if not (JSON_REPORT_CTOR_RE.search(text)
+                    or file_suppressed(text, "strg-bench-json")):
+                findings.append(Finding(
+                    path, 1, "strg-bench-json",
+                    "benchmark does not write its report through "
+                    'bench::JsonReport report("BENCH_<name>.json"), which '
+                    "stamps the simd tier and host context; construct one "
+                    "or justify with NOLINT(strg-bench-json): <why>"))
 
     check_lock_excludes(root, findings)
 
@@ -720,6 +708,16 @@ FIXTURES = {
         "// NOLINT(strg-bench-json): emits via --benchmark_out\n"
         "int main() { return 0; }\n",
     ),
+    # Naming the report and writing it by hand is not enough: only
+    # JsonReport stamps the tier and host context.
+    "strg-bench-json#handrolled": (
+        "bench/bench_x.cpp",
+        "#include <fstream>\n"
+        'int main() { std::ofstream out("BENCH_x.json"); '
+        'out << "{}"; return 0; }\n',
+        'int main() { strg::bench::JsonReport report("BENCH_x.json"); '
+        "report.Write(); return 0; }\n",
+    ),
     "strg-bench-server-shards": (
         "bench/bench_server_bad.cpp",
         'int main() { const char* p = "BENCH_server_bad.json"; '
@@ -737,14 +735,6 @@ FIXTURES = {
         'const char* s = "\\"k\\":4,\\"restarts\\":2,'
         '\\"bound_mode\\":\\"on\\""; '
         "return p != nullptr && s != nullptr; }\n",
-    ),
-    "strg-bench-simd-tier": (
-        "bench/bench_tierless.cpp",
-        'int main() { const char* p = "BENCH_tierless.json"; '
-        "return p != nullptr; }\n",
-        'int main() { const char* p = "BENCH_tierless.json"; '
-        'const char* t = "\\"simd_tier\\":\\"scalar\\""; '
-        "return p != nullptr && t != nullptr; }\n",
     ),
     "strg-simd-intrinsics": (
         "src/core/bad_vec.cc",

@@ -28,6 +28,14 @@ double Median(std::vector<double> xs) {
   return 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
+double Percentile(std::vector<double> xs, double p) {
+  if (xs.empty()) return 0.0;
+  std::sort(xs.begin(), xs.end());
+  const size_t rank = static_cast<size_t>(
+      p / 100.0 * static_cast<double>(xs.size() - 1) + 0.5);
+  return xs[std::min(rank, xs.size() - 1)];
+}
+
 PrecisionRecall ComputePrecisionRecall(size_t relevant_retrieved,
                                        size_t total_retrieved,
                                        size_t total_relevant) {

@@ -15,6 +15,10 @@ double StdDev(const std::vector<double>& xs);
 /// Median (averages the two central elements for even sizes).
 double Median(std::vector<double> xs);
 
+/// p-th percentile, p in [0, 100]: the sorted sample at rank
+/// round(p/100 * (n - 1)), clamped to the last; 0 for an empty input.
+double Percentile(std::vector<double> xs, double p);
+
 /// Precision / recall pair for a retrieval result.
 struct PrecisionRecall {
   double precision = 0.0;

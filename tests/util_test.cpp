@@ -86,11 +86,23 @@ TEST(Stats, EmptyInputsAreZero) {
   EXPECT_EQ(Mean({}), 0.0);
   EXPECT_EQ(StdDev({}), 0.0);
   EXPECT_EQ(Median({}), 0.0);
+  EXPECT_EQ(Percentile({}, 50.0), 0.0);
 }
 
 TEST(Stats, MedianOddEven) {
   EXPECT_DOUBLE_EQ(Median({3, 1, 2}), 2.0);
   EXPECT_DOUBLE_EQ(Median({4, 1, 3, 2}), 2.5);
+}
+
+TEST(Stats, PercentileRoundsTheRank) {
+  // 1..100 reversed: n = 100, so the rank is round(p/100 * 99).
+  std::vector<double> xs;
+  for (int i = 100; i >= 1; --i) xs.push_back(i);
+  EXPECT_EQ(Percentile(xs, 0.0), 1.0);
+  EXPECT_EQ(Percentile(xs, 50.0), 51.0);  // rank 49.5 rounds up to 50
+  EXPECT_EQ(Percentile(xs, 99.0), 99.0);  // rank 98.01 rounds to 98
+  EXPECT_EQ(Percentile(xs, 100.0), 100.0);
+  EXPECT_EQ(Percentile({7.0}, 99.0), 7.0);
 }
 
 TEST(Stats, PrecisionRecall) {
@@ -115,6 +127,15 @@ TEST(Table, PrintsAlignedRows) {
   EXPECT_NE(out.find("long_header"), std::string::npos);
   EXPECT_NE(out.find("3.14"), std::string::npos);
   EXPECT_EQ(t.NumRows(), 2u);
+}
+
+TEST(Table, AppendsEscapedJson) {
+  Table t({"q\"h", "b\\h"});
+  t.AddRow({"line\nbreak", "tab\there\x01"});
+  std::string out = "prefix:";
+  t.AppendJson(&out);
+  EXPECT_EQ(out, R"(prefix:{"headers":["q\"h","b\\h"],)"
+                 R"("rows":[["line\nbreak","tab\there\u0001"]]})");
 }
 
 TEST(Table, RejectsRaggedRow) {
